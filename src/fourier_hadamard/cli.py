@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-from . import numtheory
 from .graphs import (
     VerificationError,
     build_graph,
@@ -44,7 +42,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
-_CACHE_FILE = "cyclotomic-cache.bin"
+_THREADS_HELP = "accepted and ignored; builds run sequentially"
 
 
 def _parse_elements(text: str) -> tuple[int, ...]:
@@ -298,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("-n", type=int, required=True, help="submatrix size")
     p_graph.add_argument("--dot", metavar="PATH", help="write DOT export here")
     p_graph.add_argument("--json", metavar="PATH", help="write JSON export here")
-    p_graph.add_argument("--threads", type=int, default=os.cpu_count())
+    p_graph.add_argument("--threads", type=int, help=_THREADS_HELP)
     p_graph.set_defaults(func=cmd_graph)
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
@@ -313,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--v-max", type=int, default=3, help="scale factor bound")
     p_verify.add_argument("--q-max", type=int, default=8, help="power-of-two bound")
     p_verify.add_argument("--samples", type=int, default=10000, help="random cases")
-    p_verify.add_argument("--threads", type=int, default=os.cpu_count())
+    p_verify.add_argument("--threads", type=int, help=_THREADS_HELP)
     p_verify.set_defaults(func=cmd_verify)
 
     p_cls = sub.add_parser("classify", help="submatrix size tied to a divisor set")
     p_cls.add_argument("elements", help="comma-separated divisor set, e.g. 1,3")
     p_cls.add_argument("--m", required=True, help="comma-separated candidate moduli")
     p_cls.add_argument("--format", choices=("human", "json"), default="human")
-    p_cls.add_argument("--threads", type=int, default=os.cpu_count())
+    p_cls.add_argument("--threads", type=int, help=_THREADS_HELP)
     p_cls.set_defaults(func=cmd_classify)
 
     return parser
@@ -328,23 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cache_file = None
-    cache_dir = os.environ.get("FH_CACHE_DIR")
-    if cache_dir:
-        cache_file = Path(cache_dir) / _CACHE_FILE
-        numtheory.load_cyclotomic_cache(cache_file)
     try:
-        code = args.func(args)
+        return args.func(args)
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if cache_file is not None:
-            numtheory.save_cyclotomic_cache(cache_file)
-    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ of selections.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -70,8 +69,8 @@ def build_graph(m: int, n: int, threads: int | None = None) -> CompatGraph:
     buckets them by primitive set keeping the lexicographically least
     subset as the witness, tests every unordered bucket pair once, and keeps
     the vertices that appear in at least one passing pair.  Output is
-    independent of enumeration order and of how the pair tests are
-    partitioned across threads.
+    independent of enumeration order.  ``threads`` is accepted and ignored:
+    the pair tests run sequentially.
     """
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
@@ -86,23 +85,19 @@ def build_graph(m: int, n: int, threads: int | None = None) -> CompatGraph:
             # first subset seen for a bucket is its least member
             witnesses[p] = subset
     buckets = sorted(witnesses)
-    pairs = [(p, q) for i, p in enumerate(buckets) for q in buckets[i:]]
 
-    def passes(pair: tuple[PrimitiveSet, PrimitiveSet]) -> bool:
-        p, q = pair
+    def passes(p: PrimitiveSet, q: PrimitiveSet) -> bool:
         spec = SubmatrixSpec(
             m, ResidueSet(m, witnesses[p]), ResidueSet(m, witnesses[q])
         )
         return is_hadamard(spec).decision is Decision.HADAMARD
 
-    if threads and threads > 1:
-        chunk = max(1, len(pairs) // (threads * 8))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(passes, pairs, chunksize=chunk))
-    else:
-        outcomes = [passes(pair) for pair in pairs]
-
-    edges = frozenset(pair for pair, ok in zip(pairs, outcomes) if ok)
+    edges = frozenset(
+        (p, q)
+        for i, p in enumerate(buckets)
+        for q in buckets[i:]
+        if passes(p, q)
+    )
     vertices = frozenset(v for pair in edges for v in pair)
     representatives = {
         v: ResidueSet(m, witnesses[v]) for v in sorted(vertices)

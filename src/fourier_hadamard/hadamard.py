@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-import numpy as np
-
 from .numtheory import (
     IntPoly,
     cyclotomic,
@@ -162,14 +160,19 @@ def is_hadamard_numeric(spec: SubmatrixSpec, tol: float = 1e-9) -> SubmatrixVerd
 
     Exists only to validate the exact oracle from an independent direction.
     """
+    # imported here, the only user, so that starting the CLI skips numpy
+    import numpy as np
+
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     n = _require_square(spec)
-    j = np.array(spec.j.elements, dtype=np.int64)
-    k = np.array(spec.k.elements, dtype=np.int64)
-    # reduce exponents mod m before exponentiating to keep arguments small
-    phases = np.outer(j, k) % spec.m
-    h = np.exp(2j * np.pi * phases / spec.m)
+    m = spec.m
+    # j*k mod m in Python integers: an int64 product wraps once it passes 2^63
+    phases = np.array(
+        [[a * b % m for b in spec.k.elements] for a in spec.j.elements],
+        dtype=np.float64,
+    )
+    h = np.exp(2j * np.pi * phases / m)
     gram = h.conj().T @ h
     dev = float(np.abs(gram - n * np.eye(n)).max())
     decision = Decision.HADAMARD if dev < tol else Decision.NOT_HADAMARD

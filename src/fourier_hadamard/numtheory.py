@@ -3,13 +3,15 @@
 Factorization, divisor lists, p-adic orders, and cyclotomic polynomials.
 Everything stays in arbitrary-precision integer arithmetic; no floating
 point enters any decision made downstream.
+
+Cyclotomic polynomials come from two identities (Lang, *Algebra*, VI 3):
+Phi_s(z) = Phi_r(z^(s/r)) with r = rad(s) the product of the distinct primes
+of s, and Phi_pn(z) = Phi_n(z^p) / Phi_n(z) for a prime p not dividing n.
 """
 
 from __future__ import annotations
 
-import pickle
-from math import gcd
-from pathlib import Path
+from math import gcd, prod
 
 __all__ = [
     "IntPoly",
@@ -21,8 +23,6 @@ __all__ = [
     "cyclotomic",
     "cyclotomic_at_one",
     "poly_divides",
-    "load_cyclotomic_cache",
-    "save_cyclotomic_cache",
 ]
 
 
@@ -199,20 +199,37 @@ _cyclotomic_cache: dict[int, IntPoly] = {}
 def cyclotomic(s: int) -> IntPoly:
     """The s-th cyclotomic polynomial, exact integer coefficients.
 
-    Computed as (z^s - 1) divided by every lower-order cyclotomic of a
-    proper divisor of s; each step is an exact monic division.  Results are
-    memoized (idempotent inserts, so concurrent use is safe).
+    Phi_1 = z - 1.  Otherwise, with r = rad(s): Phi_s(z) = Phi_r(z^(s/r))
+    when s is not squarefree, and Phi_s(z) = Phi_n(z^p) / Phi_n(z) with p
+    the largest prime of s and n = s/p when it is; the division is exact
+    and monic.  Taking the largest p keeps the divisor Phi_n smallest.
+    Results are memoized.
     """
     if s < 1:
         raise ValueError(f"cyclotomic index must be positive, got {s}")
     poly = _cyclotomic_cache.get(s)
     if poly is None:
-        numerator = IntPoly([-1] + [0] * (s - 1) + [1])
-        for d in divisors(s)[:-1]:
-            numerator, rem = numerator.divmod_monic(cyclotomic(d))
-            assert not rem
-        poly = _cyclotomic_cache.setdefault(s, numerator)
+        if s == 1:
+            poly = IntPoly([-1, 1])
+        else:
+            primes = [p for p, _ in factorize(s)]
+            r = prod(primes)
+            if r != s:
+                poly = _substitute_power(cyclotomic(r), s // r)
+            else:
+                p = primes[-1]
+                base = cyclotomic(s // p)
+                poly, rem = _substitute_power(base, p).divmod_monic(base)
+                assert not rem
+        _cyclotomic_cache[s] = poly
     return poly
+
+
+def _substitute_power(f: IntPoly, t: int) -> IntPoly:
+    """f(z^t): coefficient i of f moves to z^(i*t)."""
+    coeffs = [0] * (f.degree * t + 1)
+    coeffs[::t] = f.coeffs
+    return IntPoly(coeffs)
 
 
 def cyclotomic_at_one(s: int) -> int:
@@ -239,44 +256,3 @@ def poly_divides(d: IntPoly, f: IntPoly) -> bool:
         return True
     _, rem = f.divmod_monic(d)
     return not rem
-
-
-def save_cyclotomic_cache(path) -> int:
-    """Persist the memo table to a binary file; returns the entry count.
-
-    Best effort: failures to write are swallowed (the cache is an
-    optimization, never required).
-    """
-    data = {s: p.coeffs for s, p in _cyclotomic_cache.items()}
-    try:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL))
-    except OSError:
-        return 0
-    return len(data)
-
-
-def load_cyclotomic_cache(path) -> int:
-    """Merge a previously saved memo table; returns how many entries loaded.
-
-    A missing, unreadable, or malformed file is never an error.
-    """
-    try:
-        raw = Path(path).read_bytes()
-        data = pickle.loads(raw)
-    except (OSError, pickle.PickleError, EOFError, AttributeError):
-        return 0
-    if not isinstance(data, dict):
-        return 0
-    loaded = 0
-    for s, coeffs in data.items():
-        if (
-            isinstance(s, int)
-            and s >= 1
-            and isinstance(coeffs, tuple)
-            and all(isinstance(c, int) for c in coeffs)
-        ):
-            _cyclotomic_cache.setdefault(s, IntPoly(coeffs))
-            loaded += 1
-    return loaded

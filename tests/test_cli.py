@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fourier_hadamard
 from fourier_hadamard.cli import main
 
 
@@ -167,14 +171,12 @@ def test_classify_usage(capsys):
     assert code == 2
 
 
-def test_cache_dir(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("FH_CACHE_DIR", str(tmp_path))
-    code, _, _ = run(["primset", "-m", "6000", "0,5,375"], capsys)
-    assert code == 0
-    cache = tmp_path / "cyclotomic-cache.bin"
-    assert cache.exists()
-    # corrupt cache must be tolerated
-    cache.write_bytes(b"garbage")
-    code, out, _ = run(["primset", "-m", "6000", "0,5,375"], capsys)
-    assert code == 0
-    assert "size divisor C = 2" in out
+def test_cli_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(fourier_hadamard.__file__))
+    probe = "import sys, fourier_hadamard.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

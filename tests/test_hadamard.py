@@ -90,6 +90,17 @@ def test_numeric_oracle():
         is_hadamard_numeric(spec(4, (0, 2), (0, 1)), tol=-1e-9)
 
 
+def test_numeric_oracle_large_modulus():
+    # j*k reaches 2^82 here, past int64; rows differ by 2^40 and 2^41, both
+    # of order 3, so K is Hadamard iff it hits every class mod 3
+    m = 3 * 2**40
+    j = (0, 2**40, 2**41)
+    hadamard = spec(m, j, (0, 2**41 - 1, 2**41))
+    assert is_hadamard_numeric(hadamard).decision is Decision.HADAMARD
+    repeated_class = spec(m, j, (0, 2**41 - 1, 2**41 + 1))
+    assert is_hadamard_numeric(repeated_class).decision is Decision.NOT_HADAMARD
+
+
 def test_screen_size_divisor():
     assert screen_size_divisor(ResidueSet(6000, (0, 5, 375)), 3) is Screen.RULED_OUT
     assert screen_size_divisor(ResidueSet(6, (0, 4)), 2) is Screen.RULED_OUT

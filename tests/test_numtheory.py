@@ -9,12 +9,24 @@ from fourier_hadamard.numtheory import (
     divisors,
     factorize,
     gcd,
-    load_cyclotomic_cache,
     p_adic_extremes,
     p_adic_order,
     poly_divides,
-    save_cyclotomic_cache,
 )
+
+
+_dense_memo: dict[int, IntPoly] = {}
+
+
+def _dense_cyclotomic(s):
+    """Reference: z^s - 1 divided by the cyclotomic of every proper divisor."""
+    if s not in _dense_memo:
+        numerator = IntPoly([-1] + [0] * (s - 1) + [1])
+        for d in divisors(s)[:-1]:
+            numerator, rem = numerator.divmod_monic(_dense_cyclotomic(d))
+            assert not rem
+        _dense_memo[s] = numerator
+    return _dense_memo[s]
 
 
 def test_gcd_examples():
@@ -92,6 +104,27 @@ def test_cyclotomic_small():
     assert cyclotomic(12) == IntPoly([1, 0, -1, 0, 1])
     with pytest.raises(ValueError):
         cyclotomic(0)
+
+
+def test_cyclotomic_prime_powers():
+    # Phi_(p^a)(z) = 1 + z^(p^(a-1)) + ... + z^((p-1) p^(a-1))
+    for p, a in ((2, 1), (2, 10), (3, 5), (5, 3), (7, 2), (97, 1), (101, 2)):
+        step = p ** (a - 1)
+        expected = [0] * ((p - 1) * step + 1)
+        expected[::step] = [1] * p
+        assert cyclotomic(p**a) == IntPoly(expected)
+
+
+def test_cyclotomic_matches_dense_reference():
+    for s in range(1, 1001):
+        assert cyclotomic(s) == _dense_cyclotomic(s), s
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for s in (2310, 2520, 5040, 27720, 30030):
+        coeffs = sympy.cyclotomic_poly(s, polys=True).all_coeffs()
+        assert cyclotomic(s) == IntPoly(int(c) for c in reversed(coeffs)), s
 
 
 def test_cyclotomic_at_one():
@@ -175,15 +208,3 @@ def test_intpoly_basics():
     assert str(p) == "2*z^2 + 1"
     assert str(IntPoly([1, -1, 1, -1, 1])) == "z^4 - z^3 + z^2 - z + 1"
     assert str(zero) == "0"
-
-
-def test_cache_roundtrip(tmp_path):
-    cyclotomic(30)
-    path = tmp_path / "cache.bin"
-    assert save_cyclotomic_cache(path) > 0
-    assert load_cyclotomic_cache(path) > 0
-    # absence and corruption are tolerated silently
-    assert load_cyclotomic_cache(tmp_path / "missing.bin") == 0
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"not a pickle")
-    assert load_cyclotomic_cache(bad) == 0
