@@ -84,15 +84,6 @@ def _fmt_witness(witness: dict | None) -> str:
     return str(witness)
 
 
-def _jsonable_witness(witness: dict | None):
-    if witness is None:
-        return None
-    out = {}
-    for key, value in witness.items():
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
 def cmd_primset(args) -> int:
     x = ResidueSet(args.m, _parse_elements(args.elements))
     diffs = sorted(difference_set(x))
@@ -166,7 +157,7 @@ def cmd_test(args) -> int:
             "columns": list(k.elements),
             "decision": verdict.decision.value,
             "rule": verdict.rule,
-            "witness": _jsonable_witness(verdict.witness),
+            "witness": verdict.witness,
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -180,7 +171,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    graph = build_graph(args.m, args.n, threads=args.threads)
+    graph = build_graph(args.m, args.n)
     if args.dot:
         Path(args.dot).write_text(export_dot(graph), encoding="utf-8")
     if args.json:
@@ -211,7 +202,7 @@ def cmd_verify(args) -> int:
     failures = []
 
     def run_counts():
-        rows, bad = sweeps.check_counts_power_of_two(args.q_max, threads=args.threads)
+        rows, bad = sweeps.check_counts_power_of_two(args.q_max)
         for q, nv, ne in rows:
             print(f"G(2^{q},2): |V| = {nv}, |E| = {ne}, expected ({q}, {(q + 1) // 2})")
         return bad
@@ -220,16 +211,14 @@ def cmd_verify(args) -> int:
         m_values = [args.m] if args.m else list(range(2, (args.m_max or 24) + 1))
         n_values = _parse_int_list(args.n) if args.n else list(range(1, args.n_max + 1))
         print(f"disjoint vertex sets over m in {m_values[0]}..{m_values[-1]}, n in {n_values}")
-        return sweeps.check_disjoint(m_values, n_values, threads=args.threads)
+        return sweeps.check_disjoint(m_values, n_values)
 
     suite_runners = {
         "compprop": lambda: sweeps.check_compprop(
             m_max=args.m_max or 20, samples=args.samples
         ),
         "disjoint": run_disjoint,
-        "scaling": lambda: sweeps.check_scaling(
-            args.m_max or 12, args.v_max, args.n_max, threads=args.threads
-        ),
+        "scaling": lambda: sweeps.check_scaling(args.m_max or 12, args.v_max, args.n_max),
         "oracle2": lambda: sweeps.check_oracle_2x2(args.m_max or 48),
         "oracle3": lambda: sweeps.check_oracle_3x3(args.m_max or 30),
         "counts2q": run_counts,
@@ -251,7 +240,7 @@ def cmd_classify(args) -> int:
     candidates = _parse_int_list(args.m) if args.m else []
     if not candidates:
         raise ValueError("at least one candidate modulus is required (--m)")
-    n = classify_submatrix_size(elements, candidates, threads=args.threads)
+    n = classify_submatrix_size(elements, candidates)
     if args.format == "json":
         print(json.dumps({"elements": sorted(elements), "size": n}, indent=2))
         return EXIT_OK

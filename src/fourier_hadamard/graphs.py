@@ -76,10 +76,10 @@ def build_graph(m: int, n: int, threads: int | None = None) -> CompatGraph:
         raise ValueError(f"size must be positive, got {n}")
     if n > m:
         raise ValueError(f"size {n} exceeds modulus {m}")
-    witnesses: dict[PrimitiveSet, tuple[int, ...]] = {}
+    witnesses: dict[PrimitiveSet, ResidueSet] = {}
     for tail in combinations(range(1, m), n - 1):
-        subset = (0,) + tail
-        p = primitive_set(ResidueSet(m, subset))
+        subset = ResidueSet(m, (0,) + tail)
+        p = primitive_set(subset)
         if p not in witnesses:
             # combinations() yields subsets in lexicographic order, so the
             # first subset seen for a bucket is its least member
@@ -87,9 +87,7 @@ def build_graph(m: int, n: int, threads: int | None = None) -> CompatGraph:
     buckets = sorted(witnesses)
 
     def passes(p: PrimitiveSet, q: PrimitiveSet) -> bool:
-        spec = SubmatrixSpec(
-            m, ResidueSet(m, witnesses[p]), ResidueSet(m, witnesses[q])
-        )
+        spec = SubmatrixSpec(m, witnesses[p], witnesses[q])
         return is_hadamard(spec).decision is Decision.HADAMARD
 
     edges = frozenset(
@@ -99,9 +97,7 @@ def build_graph(m: int, n: int, threads: int | None = None) -> CompatGraph:
         if passes(p, q)
     )
     vertices = frozenset(v for pair in edges for v in pair)
-    representatives = {
-        v: ResidueSet(m, witnesses[v]) for v in sorted(vertices)
-    }
+    representatives = {v: witnesses[v] for v in sorted(vertices)}
     graph = CompatGraph(m, n, vertices, edges, representatives)
     _reverify_edges(graph)
     return graph
@@ -136,9 +132,7 @@ def dominant_vertices(graph: CompatGraph) -> list[PrimitiveSet]:
     ]
 
 
-def verify_disjoint_vertices(
-    m: int, n: int, n2: int, threads: int | None = None
-) -> bool:
+def verify_disjoint_vertices(m: int, n: int, n2: int) -> bool:
     """Vertex sets of G(m,n) and G(m,n') must not intersect for n != n'.
 
     Returns the emptiness of the intersection; False means a defect in the
@@ -146,23 +140,21 @@ def verify_disjoint_vertices(
     """
     if n == n2:
         raise ValueError("sizes must differ")
-    a = build_graph(m, n, threads=threads)
-    b = build_graph(m, n2, threads=threads)
+    a = build_graph(m, n)
+    b = build_graph(m, n2)
     return not (a.vertices & b.vertices)
 
 
-def verify_scaling_containment(
-    m: int, v: int, n: int, threads: int | None = None
-) -> bool:
+def verify_scaling_containment(m: int, v: int, n: int) -> bool:
     """V(G(m,n)) must embed in V(G(v*m,n)) for any scale factor v >= 1."""
     if v < 1:
         raise ValueError(f"scale factor must be positive, got {v}")
-    small = build_graph(m, n, threads=threads)
-    large = build_graph(v * m, n, threads=threads)
+    small = build_graph(m, n)
+    large = build_graph(v * m, n)
     return small.vertices <= large.vertices
 
 
-def classify_submatrix_size(x, m_candidates, threads: int | None = None) -> int:
+def classify_submatrix_size(x, m_candidates) -> int:
     """Search candidate moduli for a compatibility graph having x as a vertex
     and return that graph's size n, or 0 when no candidate matches.
 
@@ -188,7 +180,7 @@ def classify_submatrix_size(x, m_candidates, threads: int | None = None) -> int:
         if any(m % e for e in elements):
             continue
         for n in range(1, m + 1):
-            graph = build_graph(m, n, threads=threads)
+            graph = build_graph(m, n)
             if target in graph.vertices:
                 return n
     return 0

@@ -29,7 +29,6 @@ from .numtheory import (
     divisors,
     factorize,
     p_adic_extremes,
-    p_adic_order,
     poly_divides,
 )
 from .primsets import PrimitiveSet, ResidueSet, primitive_set, size_divisor
@@ -252,8 +251,10 @@ def find_complement(k: ResidueSet) -> set[int] | None:
 
     Backtracking that always extends at the smallest uncovered residue and
     tries candidate elements in increasing order, so the result is
-    deterministic.  Returns None when |k| does not divide m or no complement
-    exists; absence is a normal outcome.
+    deterministic.  The search keeps an explicit stack, so its depth m/|k|
+    is not bounded by the interpreter's recursion limit.  Returns None when
+    |k| does not divide m or no complement exists; absence is a normal
+    outcome.
     """
     m = k.modulus
     if m % len(k):
@@ -261,27 +262,33 @@ def find_complement(k: ResidueSet) -> set[int] | None:
     covered = [False] * m
     chosen: list[int] = []
 
-    def extend() -> bool:
-        try:
-            r = covered.index(False)
-        except ValueError:
-            return True
-        for a in sorted({(r - ke) % m for ke in k.elements}):
-            cells = [(ke + a) % m for ke in k.elements]
-            if any(covered[c] for c in cells):
-                continue
-            for c in cells:
-                covered[c] = True
-            chosen.append(a)
-            if extend():
-                return True
-            chosen.pop()
-            for c in cells:
-                covered[c] = False
-        return False
+    def candidates() -> list[int]:
+        r = covered.index(False)
+        return sorted({(r - ke) % m for ke in k.elements})
 
-    if extend():
-        return set(chosen)
+    def cells(a: int) -> list[int]:
+        return [(ke + a) % m for ke in k.elements]
+
+    # one iterator over the untried candidates per level of the search
+    stack = [iter(candidates())]
+    while stack:
+        for a in stack[-1]:
+            new = cells(a)
+            if not any(covered[c] for c in new):
+                break
+        else:
+            stack.pop()
+            if chosen:
+                for c in cells(chosen.pop()):
+                    covered[c] = False
+            continue
+        for c in new:
+            covered[c] = True
+        chosen.append(a)
+        # every choice covers |k| fresh residues
+        if len(chosen) * len(k) == m:
+            return set(chosen)
+        stack.append(iter(candidates()))
     return None
 
 
@@ -346,8 +353,10 @@ def _balance_verdict(
     m = j.modulus
     pj = primitive_set(j).without_one()
     pk = primitive_set(k).without_one()
+    order = 0  # ord_special(m); stays 0 when special does not divide m
     for p, e in factorize(m):
         if p == special:
+            order = e
             continue
         hi = p_adic_extremes(p, pj)[1] + p_adic_extremes(p, pk)[1]
         if hi > e:
@@ -355,7 +364,7 @@ def _balance_verdict(
             return SubmatrixVerdict(Decision.NOT_HADAMARD, rule, witness)
     lo_j, hi_j = p_adic_extremes(special, pj)
     lo_k, hi_k = p_adic_extremes(special, pk)
-    required = p_adic_order(special, m) + 1
+    required = order + 1
     if not (lo_j + lo_k == hi_j + hi_k == required):
         witness = {
             "kind": "balance",
@@ -383,9 +392,11 @@ def decide_3x3(j: ResidueSet, k: ResidueSet) -> SubmatrixVerdict:
 
 
 def is_hadamard(spec: SubmatrixSpec) -> SubmatrixVerdict:
-    """Dispatch to the cheapest decision rule for the selection size.
+    """Decide with the rule that explains the verdict for the selection size.
 
-    2x2 and 3x3 go to their closed-form tests, everything else to the exact
+    2x2 and 3x3 go to their closed-form tests because their witnesses name
+    the failing p-adic condition, which ``fhad test`` prints; the choice is
+    for the explanation, not for speed.  Every other size goes to the exact
     oracle.  All routes agree with the exact oracle; the sweep suites check
     that rather than assume it.
     """

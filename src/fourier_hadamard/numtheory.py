@@ -173,21 +173,23 @@ def p_adic_order(p: int, n: int) -> int:
 
     n = 0 is rejected: no finite order exists.
     """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n == 0:
-        raise ValueError("p-adic order of 0 is undefined")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    return p_adic_extremes(p, (n,))[0]
 
 
 def p_adic_extremes(p: int, xs) -> tuple[int, int]:
     """(min, max) of the p-adic order over a nonempty set of nonzero integers."""
-    orders = [p_adic_order(p, x) for x in xs]
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    orders = []
+    for n in xs:
+        if n == 0:
+            raise ValueError("p-adic order of 0 is undefined")
+        n = abs(n)
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        orders.append(v)
     if not orders:
         raise ValueError("p_adic_extremes needs a nonempty set")
     return min(orders), max(orders)

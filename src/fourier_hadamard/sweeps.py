@@ -27,7 +27,7 @@ __all__ = [
 
 
 def check_counts_power_of_two(
-    q_max: int, threads: int | None = None
+    q_max: int
 ) -> tuple[list[tuple[int, int, int]], dict | None]:
     """Vertex/edge counts of G(2^q, 2) for q up to q_max.
 
@@ -36,7 +36,7 @@ def check_counts_power_of_two(
     """
     rows = []
     for q in range(1, q_max + 1):
-        graph = build_graph(2**q, 2, threads=threads)
+        graph = build_graph(2**q, 2)
         nv, ne = len(graph.vertices), len(graph.edges)
         rows.append((q, nv, ne))
         if nv != q or ne != (q + 1) // 2:
@@ -148,25 +148,21 @@ def check_compprop(
     return None
 
 
-def check_disjoint(
-    m_values, n_values, threads: int | None = None
-) -> dict | None:
+def check_disjoint(m_values, n_values) -> dict | None:
     """Vertex sets of G(m,n) and G(m,n') must be disjoint for n != n'."""
     for m in m_values:
         sizes = [n for n in n_values if n <= m]
         for n, n2 in combinations(sizes, 2):
-            if not verify_disjoint_vertices(m, n, n2, threads=threads):
+            if not verify_disjoint_vertices(m, n, n2):
                 return {"suite": "disjoint", "m": m, "n": n, "n2": n2}
     return None
 
 
-def check_scaling(
-    m_max: int, v_max: int, n_max: int, threads: int | None = None
-) -> dict | None:
+def check_scaling(m_max: int, v_max: int, n_max: int) -> dict | None:
     """V(G(m,n)) must embed in V(G(v*m,n)) for every scale factor."""
     for m in range(1, m_max + 1):
         for v in range(1, v_max + 1):
             for n in range(1, min(n_max, m) + 1):
-                if not verify_scaling_containment(m, v, n, threads=threads):
+                if not verify_scaling_containment(m, v, n):
                     return {"suite": "scaling", "m": m, "v": v, "n": n}
     return None

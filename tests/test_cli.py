@@ -79,6 +79,7 @@ def test_test_command_json(capsys):
     doc = json.loads(out)
     assert doc["decision"] == "not-hadamard"
     assert doc["rule"] == "gen2by2"
+    assert doc["witness"] == {"kind": "excess", "prime": 3, "max_sum": 2, "limit": 1}
 
 
 def test_test_command_usage(capsys):
@@ -117,6 +118,17 @@ def test_graph_dominant_reported(capsys):
 def test_graph_output_deterministic(capsys):
     code1, out1, _ = run(["graph", "-m", "24", "-n", "3"], capsys)
     code2, out2, _ = run(["graph", "-m", "24", "-n", "3", "--threads", "4"], capsys)
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "counts2q", "--q-max", "3"], ["classify", "1,3", "--m", "12"]],
+)
+def test_threads_flag_ignored(capsys, argv):
+    code1, out1, _ = run(argv, capsys)
+    code2, out2, _ = run(argv + ["--threads", "2"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
 

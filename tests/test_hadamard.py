@@ -168,6 +168,12 @@ def test_find_complement():
     assert find_complement(ResidueSet(6, (0, 3))) == {0, 1, 2}
 
 
+def test_find_complement_deep_search():
+    # m/|K| choices deep, past the interpreter's default recursion limit
+    assert find_complement(ResidueSet(2400, (0, 1))) == set(range(0, 2400, 2))
+    assert find_complement(ResidueSet(3000, (0,))) == set(range(3000))
+
+
 def test_find_complement_is_tiling():
     rng = random.Random(21)
     found = 0

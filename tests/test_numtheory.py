@@ -94,6 +94,10 @@ def test_p_adic_extremes():
         p_adic_extremes(3, set())
     with pytest.raises(ValueError):
         p_adic_extremes(3, {0, 9})
+    with pytest.raises(ValueError, match="not prime"):
+        p_adic_extremes(4, {2, 8})
+    with pytest.raises(ValueError, match="not prime"):
+        p_adic_extremes(1, {3})
 
 
 def test_cyclotomic_small():
