@@ -6,7 +6,8 @@ with explanation), ``graph`` (build and export compatibility graphs),
 size tied to a divisor set).
 
 Exit codes: 0 success or decided-positive, 1 decided-negative for yes/no
-queries, 2 usage error, 3 internal verification failure.
+queries, 2 usage error, file error or out of memory, 3 internal verification
+failure.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ def _fmt_witness(witness: dict | None) -> str:
         return f"nu_{p} sum {witness['max_sum']} > {witness['limit']}"
     if kind == "gram":
         return f"max |H*H - nI| deviation {witness['deviation']:.3e}"
-    if kind == "pow2-exponents":
-        aj, ak = witness["exponents"]
-        return f"2-power exponents {aj}+{ak}, required sum {witness['required_sum']}"
-    if kind == "pair":
-        return f"primitive sets {_fmt_set(witness['pj'])}, {_fmt_set(witness['pk'])}"
     return str(witness)
 
 
@@ -320,8 +316,11 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -322,7 +322,7 @@ def import_json(text: str) -> CompatGraph:
             raise GraphFormatError(f"representatives: missing entry for {v}")
 
     graph = CompatGraph(m, n, vertex_set, frozenset(edges), representatives)
-    for i, (p, q) in enumerate(sorted(edges)):
+    for p, q in sorted(edges):
         spec = SubmatrixSpec(m, representatives[p], representatives[q])
         if is_hadamard_exact(spec).decision is not Decision.HADAMARD:
             raise GraphFormatError(

@@ -112,10 +112,12 @@ class SubmatrixVerdict:
             raise ValueError(f"unknown rule {self.rule!r}")
 
 
-def set_polynomial(x: ResidueSet) -> IntPoly:
-    """The polynomial with a coefficient 1 at z^e for every element e of x."""
-    coeffs = [0] * (x.elements[-1] + 1)
-    for e in x.elements:
+def set_polynomial(x: ResidueSet | tuple[int, ...]) -> IntPoly:
+    """The polynomial with a coefficient 1 at z^e for every exponent e of x,
+    a ``ResidueSet`` or a tuple of distinct nonnegative exponents."""
+    exponents = x.elements if isinstance(x, ResidueSet) else x
+    coeffs = [0] * (max(exponents) + 1)
+    for e in exponents:
         coeffs[e] = 1
     return IntPoly(coeffs)
 
@@ -130,8 +132,8 @@ def _require_square(spec: SubmatrixSpec) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_divides(s: int, coeffs: tuple[int, ...]) -> bool:
-    return poly_divides(cyclotomic(s), IntPoly(coeffs))
+def _cyclotomic_divides(s: int, exponents: tuple[int, ...]) -> bool:
+    return poly_divides(cyclotomic(s), set_polynomial(exponents))
 
 
 def is_hadamard_exact(spec: SubmatrixSpec) -> SubmatrixVerdict:
@@ -142,9 +144,8 @@ def is_hadamard_exact(spec: SubmatrixSpec) -> SubmatrixVerdict:
     cyclotomic does not divide K(z).
     """
     _require_square(spec)
-    kpoly = set_polynomial(spec.k)
     for s in primitive_set(spec.j).without_one():
-        if not _cyclotomic_divides(s, kpoly.coeffs):
+        if not _cyclotomic_divides(s, spec.k.elements):
             return SubmatrixVerdict(
                 Decision.NOT_HADAMARD,
                 "exact",
@@ -222,7 +223,7 @@ def certify_by_complement(j: ResidueSet, k: ResidueSet, a) -> Decision:
         raise ValueError("row and column sets must have equal size")
     m = j.modulus
     a_list = list(a)
-    a_elems = sorted(set(a_list))
+    a_elems = tuple(sorted(set(a_list)))
     if not a_elems:
         raise ValueError("complement must be nonempty")
     if a_elems[0] < 0:
@@ -235,12 +236,8 @@ def certify_by_complement(j: ResidueSet, k: ResidueSet, a) -> Decision:
             seen[(ke + ae) % m] += 1
     if any(count != 1 for count in seen):
         raise ValueError("k + a is not a complete residue system mod m")
-    coeffs = [0] * (a_elems[-1] + 1)
-    for ae in a_elems:
-        coeffs[ae] = 1
-    apoly = IntPoly(coeffs)
     for s in primitive_set(j).without_one():
-        if _cyclotomic_divides(s, apoly.coeffs):
+        if _cyclotomic_divides(s, a_elems):
             return Decision.INCONCLUSIVE
     return Decision.HADAMARD
 

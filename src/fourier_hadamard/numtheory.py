@@ -4,9 +4,9 @@ Factorization, divisor lists, p-adic orders, and cyclotomic polynomials.
 Everything stays in arbitrary-precision integer arithmetic; no floating
 point enters any decision made downstream.
 
-Cyclotomic polynomials come from two identities (Lang, *Algebra*, VI 3):
-Phi_s(z) = Phi_r(z^(s/r)) with r = rad(s) the product of the distinct primes
-of s, and Phi_pn(z) = Phi_n(z^p) / Phi_n(z) for a prime p not dividing n.
+Cyclotomic polynomials come from one product formula (Lang, *Algebra*,
+VI 3): with r = rad(s) the product of the distinct primes of s,
+Phi_r(z) = prod over d | r of (1 - z^d)^mu(r/d), and Phi_s(z) = Phi_r(z^(s/r)).
 """
 
 from __future__ import annotations
@@ -195,34 +195,38 @@ def p_adic_extremes(p: int, xs) -> tuple[int, int]:
     return min(orders), max(orders)
 
 
-_cyclotomic_cache: dict[int, IntPoly] = {}
+# seeded with Phi_1 = z - 1, for which the product formula gives 1 - z
+_cyclotomic_cache: dict[int, IntPoly] = {1: IntPoly([-1, 1])}
 
 
 def cyclotomic(s: int) -> IntPoly:
     """The s-th cyclotomic polynomial, exact integer coefficients.
 
-    Phi_1 = z - 1.  Otherwise, with r = rad(s): Phi_s(z) = Phi_r(z^(s/r))
-    when s is not squarefree, and Phi_s(z) = Phi_n(z^p) / Phi_n(z) with p
-    the largest prime of s and n = s/p when it is; the division is exact
-    and monic.  Taking the largest p keeps the divisor Phi_n smallest.
-    Results are memoized.
+    Phi_1 = z - 1.  For s > 1, with r = rad(s), Phi_r is the product of
+    (1 - z^d)^mu(r/d) over the divisors d of r, taken as a power series cut
+    at degree phi(r): each factor is one in-place pass over the coefficients,
+    a multiplication by 1 - z^d running down or a division by it running up.
+    Then Phi_s(z) = Phi_r(z^(s/r)).  Results are memoized.
     """
     if s < 1:
         raise ValueError(f"cyclotomic index must be positive, got {s}")
     poly = _cyclotomic_cache.get(s)
     if poly is None:
-        if s == 1:
-            poly = IntPoly([-1, 1])
-        else:
-            primes = [p for p, _ in factorize(s)]
-            r = prod(primes)
-            if r != s:
-                poly = _substitute_power(cyclotomic(r), s // r)
+        primes = [p for p, _ in factorize(s)]
+        r = prod(primes)
+        n = prod(p - 1 for p in primes)  # phi(r), the degree of Phi_r
+        factors = [(r, 1)]  # (d, mu(r/d)) for every divisor d of r
+        for p in primes:
+            factors += [(d // p, -mu) for d, mu in factors]
+        coeffs = [1] + [0] * n
+        for d, mu in factors:
+            if mu > 0:
+                for i in range(n, d - 1, -1):
+                    coeffs[i] -= coeffs[i - d]
             else:
-                p = primes[-1]
-                base = cyclotomic(s // p)
-                poly, rem = _substitute_power(base, p).divmod_monic(base)
-                assert not rem
+                for i in range(d, n + 1):
+                    coeffs[i] += coeffs[i - d]
+        poly = _substitute_power(IntPoly(coeffs), s // r)
         _cyclotomic_cache[s] = poly
     return poly
 

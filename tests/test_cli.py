@@ -109,6 +109,31 @@ def test_graph_command_empty_and_errors(capsys):
     assert code == 2
 
 
+def test_graph_export_write_failure_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "g.json"
+    code, _, err = run(["graph", "-m", "6", "-n", "2", "--json", str(target)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_test_command_out_of_memory_exits_2():
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30  # 1 GiB of address space; Phi_(10^12) needs terabytes
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(fourier_hadamard.__file__))
+    argv = ["test", "-m", str(10**12), "-J", "0,1,2,3", "-K", "0,1,2,3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fourier_hadamard.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_graph_dominant_reported(capsys):
     code, out, _ = run(["graph", "-m", "6", "-n", "2"], capsys)
     assert code == 0

@@ -23,7 +23,7 @@ from fourier_hadamard.hadamard import (
     decide_2x2_twice_prime,
     decide_3x3,
 )
-from fourier_hadamard.numtheory import IntPoly
+from fourier_hadamard.numtheory import IntPoly, cyclotomic, divisors, poly_divides
 from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, primitive_set, shift
 
 
@@ -39,6 +39,34 @@ def test_set_polynomial():
     )
     x = ResidueSet(30, (0, 3, 17))
     assert set_polynomial(x)(1) == len(x)
+
+
+def test_set_polynomial_accepts_exponent_tuple():
+    assert set_polynomial((0, 2, 5)) == set_polynomial(ResidueSet(6, (0, 2, 5)))
+    # exponents past the modulus and in any order
+    assert set_polynomial((9, 0, 4)) == IntPoly([1, 0, 0, 0, 1, 0, 0, 0, 0, 1])
+
+
+def test_exact_oracle_matches_unmemoized_divisibility():
+    # the vanishing memo is keyed by (s, exponents) without m: warm it at other
+    # moduli with the same column exponents before comparing at m = 12..18
+    small_k = [(0,) + t for t in combinations(range(1, 18), 2)]
+    for m in range(19, 37):
+        for t in divisors(m):
+            if 2 * t < m:
+                for k in small_k:
+                    is_hadamard_exact(spec(m, (0, t, 2 * t), k))
+    for m in range(12, 19):
+        subsets = [(0,) + t for t in combinations(range(1, m), 2)]
+        for k in subsets:
+            kpoly = set_polynomial(k)
+            for j in subsets:
+                expected = all(
+                    poly_divides(cyclotomic(s), kpoly)
+                    for s in primitive_set(ResidueSet(m, j)).without_one()
+                )
+                got = is_hadamard_exact(spec(m, j, k)).decision is Decision.HADAMARD
+                assert got == expected, (m, j, k)
 
 
 def test_exact_oracle_battery():
@@ -158,6 +186,23 @@ def test_certificate_implies_oracle():
                 for j in j_sets:
                     if certify_by_complement(j, k, a) is Decision.HADAMARD:
                         assert is_hadamard_exact(SubmatrixSpec(m, j, k)).decision is Decision.HADAMARD
+
+
+def test_certify_by_complement_exponents_past_modulus():
+    # z^(a+m) = z^a modulo every Phi_s with s | m, so a and a + m certify alike
+    for m in range(2, 21):
+        for n in (2, 3):
+            if n > m or m % n:
+                continue
+            sets = [ResidueSet(m, (0,) + t) for t in combinations(range(1, m), n - 1)]
+            for k in sets:
+                a = find_complement(k)
+                if a is None:
+                    continue
+                for ae in a:
+                    lifted = (a - {ae}) | {ae + m}
+                    for j in sets:
+                        assert certify_by_complement(j, k, lifted) is certify_by_complement(j, k, a)
 
 
 def test_find_complement():
