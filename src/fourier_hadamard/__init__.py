@@ -57,8 +57,6 @@ from .graphs import (
     export_json,
     has_edge,
     import_json,
-    verify_disjoint_vertices,
-    verify_scaling_containment,
 )
 
 __version__ = "0.1.0"

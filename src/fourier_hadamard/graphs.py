@@ -15,8 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 from .hadamard import Decision, SubmatrixSpec, is_hadamard, is_hadamard_exact
+from .numtheory import cyclotomic_at_one
 from .primsets import PrimitiveSet, ResidueSet, primitive_set
 
 __all__ = [
@@ -26,8 +28,6 @@ __all__ = [
     "build_graph",
     "has_edge",
     "dominant_vertices",
-    "verify_disjoint_vertices",
-    "verify_scaling_containment",
     "classify_submatrix_size",
     "export_dot",
     "export_json",
@@ -132,36 +132,16 @@ def dominant_vertices(graph: CompatGraph) -> list[PrimitiveSet]:
     ]
 
 
-def verify_disjoint_vertices(m: int, n: int, n2: int) -> bool:
-    """Vertex sets of G(m,n) and G(m,n') must not intersect for n != n'.
-
-    Returns the emptiness of the intersection; False means a defect in the
-    builder, never a property of the inputs.
-    """
-    if n == n2:
-        raise ValueError("sizes must differ")
-    a = build_graph(m, n)
-    b = build_graph(m, n2)
-    return not (a.vertices & b.vertices)
-
-
-def verify_scaling_containment(m: int, v: int, n: int) -> bool:
-    """V(G(m,n)) must embed in V(G(v*m,n)) for any scale factor v >= 1."""
-    if v < 1:
-        raise ValueError(f"scale factor must be positive, got {v}")
-    small = build_graph(m, n)
-    large = build_graph(v * m, n)
-    return small.vertices <= large.vertices
-
-
 def classify_submatrix_size(x, m_candidates) -> int:
     """Search candidate moduli for a compatibility graph having x as a vertex
     and return that graph's size n, or 0 when no candidate matches.
 
     The size is unique across all moduli and sizes, so the first hit is the
-    answer.  Candidates whose divisors do not contain x are skipped.  A 0 is
-    only "not found within these candidates", not a proof that x never
-    occurs.
+    answer.  Candidates whose divisors do not contain x are skipped, and only
+    sizes n that x's size divisor divides and with C(n,2) >= |x| - 1 (one
+    pair of rows per element of x beyond 1) are built; both are necessary.
+    A 0 is only "not found within these candidates", not a proof that x
+    never occurs.
     """
     elements = sorted(set(x))
     if not elements:
@@ -174,14 +154,15 @@ def classify_submatrix_size(x, m_candidates) -> int:
     if 1 not in elements:
         return 0  # every primitive set contains 1
     target = PrimitiveSet(elements)
+    divisor = prod(cyclotomic_at_one(s) for s in elements if s > 1)
     for m in candidates:
         if m < 1:
             raise ValueError(f"candidate modulus must be positive, got {m}")
         if any(m % e for e in elements):
             continue
-        for n in range(1, m + 1):
-            graph = build_graph(m, n)
-            if target in graph.vertices:
+        for n in range(divisor, m + 1, divisor):
+            pairs = n * (n - 1) // 2
+            if pairs >= len(elements) - 1 and target in build_graph(m, n).vertices:
                 return n
     return 0
 

@@ -195,10 +195,6 @@ def p_adic_extremes(p: int, xs) -> tuple[int, int]:
     return min(orders), max(orders)
 
 
-# seeded with Phi_1 = z - 1, for which the product formula gives 1 - z
-_cyclotomic_cache: dict[int, IntPoly] = {1: IntPoly([-1, 1])}
-
-
 def cyclotomic(s: int) -> IntPoly:
     """The s-th cyclotomic polynomial, exact integer coefficients.
 
@@ -206,29 +202,27 @@ def cyclotomic(s: int) -> IntPoly:
     (1 - z^d)^mu(r/d) over the divisors d of r, taken as a power series cut
     at degree phi(r): each factor is one in-place pass over the coefficients,
     a multiplication by 1 - z^d running down or a division by it running up.
-    Then Phi_s(z) = Phi_r(z^(s/r)).  Results are memoized.
+    Then Phi_s(z) = Phi_r(z^(s/r)).
     """
     if s < 1:
         raise ValueError(f"cyclotomic index must be positive, got {s}")
-    poly = _cyclotomic_cache.get(s)
-    if poly is None:
-        primes = [p for p, _ in factorize(s)]
-        r = prod(primes)
-        n = prod(p - 1 for p in primes)  # phi(r), the degree of Phi_r
-        factors = [(r, 1)]  # (d, mu(r/d)) for every divisor d of r
-        for p in primes:
-            factors += [(d // p, -mu) for d, mu in factors]
-        coeffs = [1] + [0] * n
-        for d, mu in factors:
-            if mu > 0:
-                for i in range(n, d - 1, -1):
-                    coeffs[i] -= coeffs[i - d]
-            else:
-                for i in range(d, n + 1):
-                    coeffs[i] += coeffs[i - d]
-        poly = _substitute_power(IntPoly(coeffs), s // r)
-        _cyclotomic_cache[s] = poly
-    return poly
+    if s == 1:
+        return IntPoly([-1, 1])  # the product formula would give 1 - z
+    primes = [p for p, _ in factorize(s)]
+    r = prod(primes)
+    n = prod(p - 1 for p in primes)  # phi(r), the degree of Phi_r
+    factors = [(r, 1)]  # (d, mu(r/d)) for every divisor d of r
+    for p in primes:
+        factors += [(d // p, -mu) for d, mu in factors]
+    coeffs = [1] + [0] * n
+    for d, mu in factors:
+        if mu > 0:
+            for i in range(n, d - 1, -1):
+                coeffs[i] -= coeffs[i - d]
+        else:
+            for i in range(d, n + 1):
+                coeffs[i] += coeffs[i - d]
+    return _substitute_power(IntPoly(coeffs), s // r)
 
 
 def _substitute_power(f: IntPoly, t: int) -> IntPoly:

@@ -2,7 +2,9 @@
 
 Each sweep returns None on a clean pass or a dict describing the first
 counterexample found.  The CLI runs them behind the ``verify`` subcommand;
-the test suite asserts they come back clean.
+the test suite asserts they come back clean.  The vertex-set checks
+(disjointness across sizes, containment under scaling) live here and build
+each graph they compare once per modulus.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .graphs import build_graph, verify_disjoint_vertices, verify_scaling_containment
+from .graphs import build_graph
 from .hadamard import SubmatrixSpec, is_hadamard_exact, decide_2x2_general, decide_3x3
 from .numtheory import factorize, p_adic_extremes
 from .primsets import ResidueSet, difference_set, primitive_set
@@ -123,24 +125,20 @@ def compprop_violation(x: ResidueSet) -> dict | None:
 
 
 def check_compprop(
-    m_max: int = 20,
-    size_max: int = 4,
-    samples: int = 10000,
-    seed: int = 20260810,
-    sample_m_max: int = 5000,
-    sample_size_max: int = 8,
+    m_max: int = 20, size_max: int = 4, samples: int = 10000
 ) -> dict | None:
-    """Exhaustive sweep up to m_max and size_max, then random larger cases."""
+    """Exhaustive sweep up to m_max and size_max, then `samples` random cases
+    with moduli up to 5000 and sizes up to 8, drawn from a fixed seed."""
     for m in range(2, m_max + 1):
         for size in range(2, min(size_max, m) + 1):
             for elems in combinations(range(m), size):
                 bad = compprop_violation(ResidueSet(m, elems))
                 if bad:
                     return bad
-    rng = random.Random(seed)
+    rng = random.Random(20260810)
     for _ in range(samples):
-        m = rng.randint(m_max + 1, sample_m_max)
-        size = rng.randint(2, min(sample_size_max, m))
+        m = rng.randint(m_max + 1, 5000)
+        size = rng.randint(2, min(8, m))
         elems = tuple(rng.sample(range(m), size))
         bad = compprop_violation(ResidueSet(m, elems))
         if bad:
@@ -149,20 +147,37 @@ def check_compprop(
 
 
 def check_disjoint(m_values, n_values) -> dict | None:
-    """Vertex sets of G(m,n) and G(m,n') must be disjoint for n != n'."""
+    """V(G(m,n)) and V(G(m,n')) must be disjoint for n != n'.
+
+    Sizes above m are skipped; a size repeated among the rest raises
+    ValueError.  Each G(m,n) is built once, when its first pair comes up.
+    """
     for m in m_values:
         sizes = [n for n in n_values if n <= m]
+        graphs = {}
         for n, n2 in combinations(sizes, 2):
-            if not verify_disjoint_vertices(m, n, n2):
+            if n == n2:
+                raise ValueError("sizes must differ")
+            for size in (n, n2):
+                if size not in graphs:
+                    graphs[size] = build_graph(m, size)
+            if graphs[n].vertices & graphs[n2].vertices:
                 return {"suite": "disjoint", "m": m, "n": n, "n2": n2}
     return None
 
 
 def check_scaling(m_max: int, v_max: int, n_max: int) -> dict | None:
-    """V(G(m,n)) must embed in V(G(v*m,n)) for every scale factor."""
+    """V(G(m,n)) must embed in V(G(v*m,n)) for every scale factor v.
+
+    Each G(m,n) is built once per m; G(v*m,n) is built only for v >= 2,
+    since at v = 1 it is G(m,n) itself.
+    """
+    if v_max < 1:
+        return None
     for m in range(1, m_max + 1):
-        for v in range(1, v_max + 1):
-            for n in range(1, min(n_max, m) + 1):
-                if not verify_scaling_containment(m, v, n):
+        small = {n: build_graph(m, n) for n in range(1, min(n_max, m) + 1)}
+        for v in range(2, v_max + 1):
+            for n, graph in small.items():
+                if not graph.vertices <= build_graph(v * m, n).vertices:
                     return {"suite": "scaling", "m": m, "v": v, "n": n}
     return None

@@ -11,10 +11,9 @@ from fourier_hadamard.graphs import (
     export_json,
     has_edge,
     import_json,
-    verify_disjoint_vertices,
-    verify_scaling_containment,
 )
 from fourier_hadamard.primsets import PrimitiveSet
+from fourier_hadamard.sweeps import check_disjoint, check_scaling
 
 
 def pset(*elements):
@@ -83,16 +82,18 @@ def test_dominant_vertices():
 
 
 def test_disjoint_vertices():
-    assert verify_disjoint_vertices(12, 2, 3)
-    assert verify_disjoint_vertices(21, 2, 3)
+    assert check_disjoint([12], [2, 3]) is None
+    assert check_disjoint([21], [2, 3]) is None
     with pytest.raises(ValueError):
-        verify_disjoint_vertices(12, 2, 2)
+        check_disjoint([12], [2, 2])
 
 
 def test_scaling_containment():
-    assert verify_scaling_containment(6, 2, 2)
-    assert verify_scaling_containment(9, 1, 2)
-    assert verify_scaling_containment(4, 3, 2)
+    # check_scaling sweeps every m' <= m and v' <= v, so these cover
+    # (m, v, n) = (6, 2, 2), (9, 1, 2) and (4, 3, 2)
+    assert check_scaling(6, 2, 2) is None
+    assert check_scaling(9, 1, 2) is None
+    assert check_scaling(4, 3, 2) is None
 
 
 def test_classify():
