@@ -41,6 +41,7 @@ from .hadamard import (
     screen_prime_powers,
     screen_size_divisor,
     set_polynomial,
+    vanishing_set,
     decide_2x2_general,
     decide_2x2_power_of_two,
     decide_2x2_twice_prime,

@@ -40,6 +40,7 @@ __all__ = [
     "SubmatrixVerdict",
     "RULES",
     "set_polynomial",
+    "vanishing_set",
     "is_hadamard_exact",
     "is_hadamard_numeric",
     "is_hadamard",
@@ -134,6 +135,21 @@ def _require_square(spec: SubmatrixSpec) -> int:
 @lru_cache(maxsize=None)
 def _cyclotomic_divides(s: int, exponents: tuple[int, ...]) -> bool:
     return poly_divides(cyclotomic(s), set_polynomial(exponents))
+
+
+def vanishing_set(k: ResidueSet) -> frozenset[int]:
+    """Z(K): the orders s > 1 dividing the modulus m for which the s-th
+    cyclotomic polynomial divides K(z), i.e. K(z) vanishes at the primitive
+    s-th roots of unity.
+
+    This is the exact oracle in set form: with P(J) the primitive set of a
+    row set of the same size, H_(J,K) is Hadamard iff P(J) minus {1} is a
+    subset of Z(K).  Computing Z(K) once lets every row set be tested
+    against K by one set inclusion.
+    """
+    return frozenset(
+        s for s in divisors(k.modulus)[1:] if _cyclotomic_divides(s, k.elements)
+    )
 
 
 def is_hadamard_exact(spec: SubmatrixSpec) -> SubmatrixVerdict:

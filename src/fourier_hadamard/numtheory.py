@@ -11,6 +11,7 @@ Phi_r(z) = prod over d | r of (1 - z^d)^mu(r/d), and Phi_s(z) = Phi_r(z^(s/r)).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, prod
 
 __all__ = [
@@ -164,6 +165,10 @@ def divisors(m: int) -> list[int]:
     return sorted(divs)
 
 
+# p_adic_extremes checks primality on every call, usually for the same few
+# primes; the bound stays above the 669 primes below 5000 that the compprop
+# sweep's sample moduli can have.
+@lru_cache(maxsize=1024)
 def _is_prime(p: int) -> bool:
     return p >= 2 and factorize(p) == [(p, 1)]
 
@@ -177,7 +182,11 @@ def p_adic_order(p: int, n: int) -> int:
 
 
 def p_adic_extremes(p: int, xs) -> tuple[int, int]:
-    """(min, max) of the p-adic order over a nonempty set of nonzero integers."""
+    """(min, max) of the p-adic order over a nonempty set of nonzero integers.
+
+    Every call rejects a p that is not prime with ValueError; only the
+    factorization behind that check is memoized, once per p.
+    """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     orders = []

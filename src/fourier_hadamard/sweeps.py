@@ -2,9 +2,11 @@
 
 Each sweep returns None on a clean pass or a dict describing the first
 counterexample found.  The CLI runs them behind the ``verify`` subcommand;
-the test suite asserts they come back clean.  The vertex-set checks
-(disjointness across sizes, containment under scaling) live here and build
-each graph they compare once per modulus.
+the test suite asserts they come back clean.  The oracle sweeps decide the
+exact side of every pair by one set inclusion, P(J) minus {1} within Z(K),
+from primitive and vanishing sets computed once per subset and modulus.
+The vertex-set checks (disjointness across sizes, containment under
+scaling) live here and build each graph they compare once per modulus.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from itertools import combinations
 
 from .graphs import build_graph
-from .hadamard import SubmatrixSpec, is_hadamard_exact, decide_2x2_general, decide_3x3
+from .hadamard import Decision, decide_2x2_general, decide_3x3, vanishing_set
 from .numtheory import factorize, p_adic_extremes
 from .primsets import ResidueSet, difference_set, primitive_set
 
@@ -59,11 +61,15 @@ def _zero_subsets(m: int, n: int):
 
 def _oracle_equivalence(m_max: int, n: int, fast_test) -> dict | None:
     for m in range(n, m_max + 1):
-        subsets = [ResidueSet(m, s) for s in _zero_subsets(m, n)]
-        for i, j in enumerate(subsets):
-            for k in subsets[i:]:
+        # each subset with P(x) minus {1} and Z(x), computed once per m
+        rows = [
+            (x, frozenset(primitive_set(x).without_one()), vanishing_set(x))
+            for x in (ResidueSet(m, s) for s in _zero_subsets(m, n))
+        ]
+        for i, (j, prims, _) in enumerate(rows):
+            for k, _, zeros in rows[i:]:
                 fast = fast_test(j, k).decision
-                exact = is_hadamard_exact(SubmatrixSpec(m, j, k)).decision
+                exact = Decision.HADAMARD if prims <= zeros else Decision.NOT_HADAMARD
                 if fast is not exact:
                     return {
                         "suite": f"oracle{n}",
@@ -78,13 +84,21 @@ def _oracle_equivalence(m_max: int, n: int, fast_test) -> dict | None:
 
 def check_oracle_2x2(m_max: int) -> dict | None:
     """The general 2x2 test must agree with the exact oracle on every pair
-    of 0-containing 2-subsets for all moduli up to m_max."""
+    of 0-containing 2-subsets for all moduli up to m_max.
+
+    The exact verdict for rows J and columns K is the inclusion of P(J)
+    minus {1} in the vanishing set Z(K), both computed once per subset.
+    """
     return _oracle_equivalence(m_max, 2, decide_2x2_general)
 
 
 def check_oracle_3x3(m_max: int) -> dict | None:
     """The 3x3 test must agree with the exact oracle on every pair of
-    0-containing 3-subsets for all moduli up to m_max."""
+    0-containing 3-subsets for all moduli up to m_max.
+
+    The exact verdict for rows J and columns K is the inclusion of P(J)
+    minus {1} in the vanishing set Z(K), both computed once per subset.
+    """
     return _oracle_equivalence(m_max, 3, decide_3x3)
 
 

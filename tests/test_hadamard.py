@@ -18,6 +18,7 @@ from fourier_hadamard.hadamard import (
     screen_prime_powers,
     screen_size_divisor,
     set_polynomial,
+    vanishing_set,
     decide_2x2_general,
     decide_2x2_power_of_two,
     decide_2x2_twice_prime,
@@ -25,6 +26,7 @@ from fourier_hadamard.hadamard import (
 )
 from fourier_hadamard.numtheory import IntPoly, cyclotomic, divisors, poly_divides
 from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, primitive_set, shift
+from hypothesis import given, settings, strategies as st
 
 
 def spec(m, j, k):
@@ -67,6 +69,40 @@ def test_exact_oracle_matches_unmemoized_divisibility():
                 )
                 got = is_hadamard_exact(spec(m, j, k)).decision is Decision.HADAMARD
                 assert got == expected, (m, j, k)
+
+
+def test_vanishing_set_matches_dense_divisibility():
+    for m in range(1, 17):
+        for size in range(1, min(4, m) + 1):
+            subsets = [ResidueSet(m, (0,) + t) for t in combinations(range(1, m), size - 1)]
+            prims = [set(primitive_set(j).without_one()) for j in subsets]
+            for k in subsets:
+                kpoly = set_polynomial(k)
+                zeros = vanishing_set(k)
+                assert zeros == {
+                    s for s in divisors(m)[1:] if poly_divides(cyclotomic(s), kpoly)
+                }, (m, k)
+                for j, pj in zip(subsets, prims):
+                    included = pj <= zeros
+                    exact = is_hadamard_exact(SubmatrixSpec(m, j, k)).decision
+                    assert included == (exact is Decision.HADAMARD), (m, j, k)
+
+
+@st.composite
+def square_selections(draw):
+    m = draw(st.integers(2, 120))
+    size = draw(st.integers(2, min(6, m)))
+    residues = st.lists(st.integers(0, m - 1), min_size=size, max_size=size, unique=True)
+    return m, tuple(draw(residues)), tuple(draw(residues))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(square_selections())
+def test_vanishing_set_inclusion_matches_exact_oracle(selection):
+    m, j, k = selection
+    sp = spec(m, j, k)
+    included = set(primitive_set(sp.j).without_one()) <= vanishing_set(sp.k)
+    assert included == (is_hadamard_exact(sp).decision is Decision.HADAMARD)
 
 
 def test_exact_oracle_battery():

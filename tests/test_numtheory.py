@@ -4,6 +4,7 @@ import pytest
 
 from fourier_hadamard.numtheory import (
     IntPoly,
+    _is_prime,
     cyclotomic,
     cyclotomic_at_one,
     divisors,
@@ -94,10 +95,20 @@ def test_p_adic_extremes():
         p_adic_extremes(3, set())
     with pytest.raises(ValueError):
         p_adic_extremes(3, {0, 9})
-    with pytest.raises(ValueError, match="not prime"):
-        p_adic_extremes(4, {2, 8})
-    with pytest.raises(ValueError, match="not prime"):
-        p_adic_extremes(1, {3})
+    # primality is memoized per p: a warm memo still rejects every non-prime,
+    # on every call
+    p_adic_extremes(2, {6})
+    p_adic_extremes(3, {6})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not prime"):
+            p_adic_extremes(4, {2, 8})
+        with pytest.raises(ValueError, match="not prime"):
+            p_adic_extremes(1, {3})
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert all(_is_prime(p) == sympy.isprime(p) for p in range(-2, 5000))
 
 
 def test_cyclotomic_small():

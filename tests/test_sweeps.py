@@ -6,6 +6,7 @@ import pytest
 from fourier_hadamard import graphs, sweeps
 from fourier_hadamard.cli import main
 from fourier_hadamard.graphs import build_graph, classify_submatrix_size
+from fourier_hadamard.hadamard import Decision
 from fourier_hadamard.numtheory import divisors
 from fourier_hadamard.primsets import PrimitiveSet
 
@@ -89,3 +90,54 @@ def test_classify_matches_vertex_lookup():
             for tail in combinations(rest, size):
                 x = (1,) + tail
                 assert classify_submatrix_size(x, [m]) == found.get(PrimitiveSet(x), 0)
+
+
+def flip_one_verdict(monkeypatch, name, m, j, k):
+    """Make ``sweeps.<name>`` return the opposite decision for one pair."""
+    original = getattr(sweeps, name)
+
+    def planted(rows, cols):
+        verdict = original(rows, cols)
+        if (rows.modulus, rows.elements, cols.elements) == (m, j, k):
+            flipped = (
+                Decision.NOT_HADAMARD
+                if verdict.decision is Decision.HADAMARD
+                else Decision.HADAMARD
+            )
+            verdict = replace(verdict, decision=flipped)
+        return verdict
+
+    monkeypatch.setattr(sweeps, name, planted)
+
+
+def test_oracle_3x3_reports_planted_fault(monkeypatch, capsys):
+    # rows {0,1,2} and columns {0,3,6} of the 9-point matrix are Hadamard
+    flip_one_verdict(monkeypatch, "decide_3x3", 9, (0, 1, 2), (0, 3, 6))
+    expected = {
+        "suite": "oracle3",
+        "m": 9,
+        "j": (0, 1, 2),
+        "k": (0, 3, 6),
+        "fast": "not-hadamard",
+        "exact": "hadamard",
+    }
+    assert sweeps.check_oracle_3x3(12) == expected
+    assert sweeps.check_oracle_3x3(8) is None
+
+    assert main(["verify", "oracle3", "--m-max", "9"]) == 3
+    err = capsys.readouterr().err
+    assert "suite oracle3: FAIL" in err
+    assert f"counterexample: {expected}" in err
+
+
+def test_oracle_2x2_reports_planted_fault(monkeypatch):
+    # rows {0,1} and columns {0,1} of the 4-point matrix are not Hadamard
+    flip_one_verdict(monkeypatch, "decide_2x2_general", 4, (0, 1), (0, 1))
+    assert sweeps.check_oracle_2x2(10) == {
+        "suite": "oracle2",
+        "m": 4,
+        "j": (0, 1),
+        "k": (0, 1),
+        "fast": "hadamard",
+        "exact": "not-hadamard",
+    }
