@@ -8,15 +8,12 @@ which primitive sets pair into Hadamard submatrices.
 """
 
 from .numtheory import (
-    IntPoly,
-    cyclotomic,
     cyclotomic_at_one,
     divisors,
     factorize,
     gcd,
     p_adic_extremes,
     p_adic_order,
-    poly_divides,
 )
 from .primsets import (
     PrimitiveSet,
@@ -40,7 +37,6 @@ from .hadamard import (
     is_hadamard_numeric,
     screen_prime_powers,
     screen_size_divisor,
-    set_polynomial,
     vanishing_set,
     decide_2x2_general,
     decide_2x2_power_of_two,

@@ -7,8 +7,10 @@ are orthogonal iff the column polynomial K(z) = sum of z^k vanishes at
 e^(2*pi*i*(j1-j2)/m), a primitive s-th root of unity for
 s = m/gcd(m, j1-j2); vanishing there is equivalent to the s-th cyclotomic
 polynomial dividing K(z).  The exact oracle below is nothing more than that
-divisibility test over the primitive set of J, so every decision is pure
-integer arithmetic.
+vanishing test over the primitive set of J.  The test never builds a
+polynomial: it splits the exponents of K by residue classes, one prime of s
+at a time (the constructive side of the Redei-de Bruijn-Schoenberg
+theorem), so every decision is pure integer arithmetic on |K| exponents.
 
 Alongside the oracle: an independent floating-point cross-check, two
 necessary-condition screens that can rule a row set out without any K, a
@@ -22,15 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import prod
 
-from .numtheory import (
-    IntPoly,
-    cyclotomic,
-    divisors,
-    factorize,
-    p_adic_extremes,
-    poly_divides,
-)
+from .numtheory import divisors, factorize, p_adic_extremes
 from .primsets import PrimitiveSet, ResidueSet, primitive_set, size_divisor
 
 __all__ = [
@@ -39,7 +35,6 @@ __all__ = [
     "SubmatrixSpec",
     "SubmatrixVerdict",
     "RULES",
-    "set_polynomial",
     "vanishing_set",
     "is_hadamard_exact",
     "is_hadamard_numeric",
@@ -113,16 +108,6 @@ class SubmatrixVerdict:
             raise ValueError(f"unknown rule {self.rule!r}")
 
 
-def set_polynomial(x: ResidueSet | tuple[int, ...]) -> IntPoly:
-    """The polynomial with a coefficient 1 at z^e for every exponent e of x,
-    a ``ResidueSet`` or a tuple of distinct nonnegative exponents."""
-    exponents = x.elements if isinstance(x, ResidueSet) else x
-    coeffs = [0] * (max(exponents) + 1)
-    for e in exponents:
-        coeffs[e] = 1
-    return IntPoly(coeffs)
-
-
 def _require_square(spec: SubmatrixSpec) -> int:
     if len(spec.j) != len(spec.k):
         raise ValueError(
@@ -134,13 +119,66 @@ def _require_square(spec: SubmatrixSpec) -> int:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_divides(s: int, exponents: tuple[int, ...]) -> bool:
-    return poly_divides(cyclotomic(s), set_polynomial(exponents))
+    """Whether the s-th cyclotomic polynomial divides the sum of z^e over
+    the exponents, that is whether the sum vanishes at zeta_s = e^(2*pi*i/s).
+
+    Exponents may exceed s, come in any order and repeat; a repeated
+    exponent counts once per occurrence.  With r = rad(s) and t = s/r,
+    zeta_s^t = zeta_r and 1, zeta_s, ..., zeta_s^(t-1) are a basis of
+    Q(zeta_s) over Q(zeta_r), so the sum vanishes iff, in every class of
+    exponents mod t, the terms zeta_r^(e div t) add up to 0 (e div t need
+    not be below r: the split by primes reduces it).  No polynomial
+    is built; past factorizing s, the cost depends on the number of
+    exponents and of primes of s, not on s.
+    """
+    primes = [p for p, _ in factorize(s)]
+    t = s // prod(primes)
+    classes: dict[int, dict[int, int]] = {}
+    for e in exponents:
+        terms = classes.setdefault(e % t, {})
+        terms[e // t] = terms.get(e // t, 0) + 1
+    return all(_root_sum_vanishes(terms, primes) for terms in classes.values())
+
+
+def _root_sum_vanishes(terms: dict[int, int], primes: list[int]) -> bool:
+    """Whether the sum of c * zeta_r^a over the terms {a: c} is 0, for r the
+    product of the distinct primes given (r = 1: the sum of the c).
+
+    Peel off the largest prime p and let q = r/p.  By the Chinese remainder
+    theorem zeta_r^a is zeta_p^(a mod p) times zeta_q^(a mod q), up to Galois
+    automorphisms that change neither equality nor vanishing.  So the sum is
+    sum over alpha of zeta_p^alpha * S_alpha with every S_alpha in
+    Q(zeta_q), and because 1 + x + ... + x^(p-1) stays irreducible over
+    Q(zeta_q) it vanishes iff all p of the S_alpha are equal (de Bruijn 1953;
+    Lam and Leung, J. Algebra 224, 2000).  An empty group makes that common
+    value 0, so then each group must vanish on its own; otherwise each group
+    must equal the smallest one.
+    """
+    if not primes:
+        return sum(terms.values()) == 0
+    *rest, p = primes
+    q = prod(rest)
+    groups: dict[int, dict[int, int]] = {}
+    for a, c in terms.items():
+        group = groups.setdefault(a % p, {})
+        group[a % q] = group.get(a % q, 0) + c
+    if len(groups) < p:
+        return all(_root_sum_vanishes(group, rest) for group in groups.values())
+    least = min(groups.values(), key=len)
+    for group in groups.values():
+        diff = dict(group)
+        for b, c in least.items():
+            diff[b] = diff.get(b, 0) - c
+        if not _root_sum_vanishes({b: c for b, c in diff.items() if c}, rest):
+            return False
+    return True
 
 
 def vanishing_set(k: ResidueSet) -> frozenset[int]:
     """Z(K): the orders s > 1 dividing the modulus m for which the s-th
     cyclotomic polynomial divides K(z), i.e. K(z) vanishes at the primitive
-    s-th roots of unity.
+    s-th roots of unity, each decided by the sparse vanishing test on K's
+    exponents.
 
     This is the exact oracle in set form: with P(J) the primitive set of a
     row set of the same size, H_(J,K) is Hadamard iff P(J) minus {1} is a
@@ -156,7 +194,9 @@ def is_hadamard_exact(spec: SubmatrixSpec) -> SubmatrixVerdict:
     """Exact oracle: Hadamard iff the s-th cyclotomic polynomial divides the
     column polynomial for every s > 1 in the primitive set of the rows.
 
-    Never inconclusive.  On failure the witness carries the first s whose
+    Each divisibility is the sparse vanishing test on K's exponents: no
+    polynomial is built, and apart from factorizing s the cost does not
+    grow with m.  Never inconclusive.  On failure the witness carries the first s whose
     cyclotomic does not divide K(z).
     """
     _require_square(spec)

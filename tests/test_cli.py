@@ -116,22 +116,46 @@ def test_graph_export_write_failure_exits_2(capsys, tmp_path):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_test_command_out_of_memory_exits_2():
+def test_test_command_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhaust(spec):
+        raise MemoryError
+
+    monkeypatch.setattr("fourier_hadamard.cli.is_hadamard_exact", exhaust)
+    argv = ["test", "-m", "12", "-J", "0,4,8", "-K", "0,1,2", "--oracle", "exact"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and err == "error: out of memory\n"
+
+
+def test_test_command_huge_modulus_under_memory_cap():
+    # m = 10^12 is decided from K's exponents; a 1 GiB address-space cap
+    # shows that no object of size m or phi(s) is built
     resource = pytest.importorskip("resource")
-    limit = 1 << 30  # 1 GiB of address space; Phi_(10^12) needs terabytes
+    limit = 1 << 30
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     src = os.path.dirname(os.path.dirname(fourier_hadamard.__file__))
-    argv = ["test", "-m", str(10**12), "-J", "0,1,2,3", "-K", "0,1,2,3"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "fourier_hadamard.cli", *argv],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120,
+    m = 10**12
+    q = m // 4
+
+    def fhad(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fourier_hadamard.cli", "test", "-m", str(m), *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120,
+        )
+
+    proc = fhad("-J", "0,1,2,3", "-K", "0,1,2,3")
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert (
+        "witness: cyclotomic polynomial of order 500000000000 does not divide K(z)"
+        in proc.stdout
     )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    proc = fhad("-J", "0,1,2,3", "-K", f"0,{q},{2 * q},{3 * q}", "--oracle", "both")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "decision: hadamard" in proc.stdout
 
 
 def test_graph_dominant_reported(capsys):

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from fourier_hadamard.hadamard import (
+    _cyclotomic_divides,
     Decision,
     Screen,
     SubmatrixSpec,
@@ -17,16 +18,17 @@ from fourier_hadamard.hadamard import (
     is_hadamard_numeric,
     screen_prime_powers,
     screen_size_divisor,
-    set_polynomial,
     vanishing_set,
     decide_2x2_general,
     decide_2x2_power_of_two,
     decide_2x2_twice_prime,
     decide_3x3,
 )
-from fourier_hadamard.numtheory import IntPoly, cyclotomic, divisors, poly_divides
+from fourier_hadamard.numtheory import divisors
 from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, primitive_set, shift
 from hypothesis import given, settings, strategies as st
+
+from dense_reference import IntPoly, cyclotomic, poly_divides, set_polynomial
 
 
 def spec(m, j, k):
@@ -103,6 +105,74 @@ def test_vanishing_set_inclusion_matches_exact_oracle(selection):
     sp = spec(m, j, k)
     included = set(primitive_set(sp.j).without_one()) <= vanishing_set(sp.k)
     assert included == (is_hadamard_exact(sp).decision is Decision.HADAMARD)
+
+
+def test_sparse_vanishing_matches_dense_exhaustive():
+    # every m <= 30, every s | m and every 0-containing K with |K| <= 4,
+    # through the undecorated test so that the memo plays no part
+    sparse = _cyclotomic_divides.__wrapped__
+    cases = 0
+    for m in range(1, 31):
+        ks = [(0,) + t for size in range(4) for t in combinations(range(1, m), size)]
+        kpolys = [set_polynomial(k) for k in ks]
+        for s in divisors(m):
+            phi = cyclotomic(s)
+            for k, kpoly in zip(ks, kpolys):
+                assert sparse(s, k) == poly_divides(phi, kpoly), (m, s, k)
+            cases += len(ks)
+    assert cases == 146_079
+
+
+def test_sparse_vanishing_counts_repeated_exponents():
+    # 1 + zeta + zeta^2 + zeta^3 = zeta^3 = 1 at a primitive cube root of
+    # unity: the exponents 0 and 3 fall in one class mod 3 and count twice
+    sparse = _cyclotomic_divides.__wrapped__
+    assert not sparse(3, (0, 1, 2, 3))
+    assert not poly_divides(cyclotomic(3), set_polynomial((0, 1, 2, 3)))
+    assert sparse(3, (0, 1, 2)) and sparse(3, (3, 4, 8))
+    assert sparse(6, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11))
+    assert not sparse(1, (0,)) and sparse(1, ())
+
+
+@st.composite
+def vanishing_cases(draw):
+    m = draw(st.integers(2, 2520))
+    s = draw(st.sampled_from(divisors(m)))
+    if draw(st.booleans()):
+        # a union of cosets a + (m/d)*{0..d-1}; a coset's polynomial is
+        # z^a (z^m - 1)/(z^(m/d) - 1), which vanishes at every s | m that
+        # does not divide m/d
+        orders = [d for d in divisors(m)[1:] if d <= 16] or [m]
+        residues = set()
+        for _ in range(draw(st.integers(1, 3))):
+            d = draw(st.sampled_from(orders))
+            a = draw(st.integers(0, m - 1))
+            residues.update((a + i * (m // d)) % m for i in range(d))
+    else:
+        residues = set(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=8)))
+    # lift some residues past m and shuffle, as certify_by_complement and the
+    # memo key allow
+    exponents = [e + m * draw(st.integers(0, 1)) for e in sorted(residues)]
+    return s, tuple(draw(st.permutations(exponents)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(vanishing_cases())
+def test_sparse_vanishing_matches_dense_random(case):
+    s, exponents = case
+    expected = poly_divides(cyclotomic(s), set_polynomial(exponents))
+    assert _cyclotomic_divides.__wrapped__(s, exponents) == expected
+
+
+@pytest.mark.parametrize("m", [55_440, 720_720, 10**12])
+def test_exact_oracle_large_modulus(m):
+    # K(z) = (z^m - 1)/(z^(m/4) - 1) vanishes at exactly the orders s | m that
+    # do not divide m/4, and every order m/gcd(m, d), d = 1, 2, 3, in the
+    # primitive set of {0,1,2,3} exceeds m/4
+    q = m // 4
+    sp = spec(m, (0, 1, 2, 3), (0, q, 2 * q, 3 * q))
+    assert is_hadamard_exact(sp).decision is Decision.HADAMARD
+    assert vanishing_set(sp.k) == {s for s in divisors(m) if q % s}
 
 
 def test_exact_oracle_battery():

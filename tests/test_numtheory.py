@@ -3,17 +3,16 @@ import random
 import pytest
 
 from fourier_hadamard.numtheory import (
-    IntPoly,
     _is_prime,
-    cyclotomic,
     cyclotomic_at_one,
     divisors,
     factorize,
     gcd,
     p_adic_extremes,
     p_adic_order,
-    poly_divides,
 )
+
+from dense_reference import IntPoly, cyclotomic, poly_divides
 
 
 _dense_memo: dict[int, IntPoly] = {}
