@@ -43,8 +43,6 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
-_THREADS_HELP = "accepted and ignored; builds run sequentially"
-
 
 def _parse_elements(text: str) -> tuple[int, ...]:
     try:
@@ -124,10 +122,6 @@ def cmd_primset(args) -> int:
 def cmd_test(args) -> int:
     j = ResidueSet(args.m, _parse_elements(args.rows))
     k = ResidueSet(args.m, _parse_elements(args.columns))
-    if len(j) != len(k):
-        raise ValueError(
-            f"row set has {len(j)} elements but column set has {len(k)}"
-        )
     spec = SubmatrixSpec(args.m, j, k)
     if args.oracle == "exact":
         verdict = is_hadamard_exact(spec)
@@ -192,6 +186,14 @@ def cmd_graph(args) -> int:
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
+
+
+def nonnegative_int(text: str) -> int:
+    # a negative sweep bound would check nothing and still report a pass
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def cmd_verify(args) -> int:
@@ -281,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("-n", type=int, required=True, help="submatrix size")
     p_graph.add_argument("--dot", metavar="PATH", help="write DOT export here")
     p_graph.add_argument("--json", metavar="PATH", help="write JSON export here")
-    p_graph.add_argument("--threads", type=int, help=_THREADS_HELP)
     p_graph.set_defaults(func=cmd_graph)
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
@@ -290,20 +291,18 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("compprop", "disjoint", "scaling", "oracle2", "oracle3", "counts2q", "all"),
     )
     p_verify.add_argument("-m", type=int, help="single modulus (disjoint)")
-    p_verify.add_argument("--m-max", type=int, default=0, help="modulus sweep bound")
+    p_verify.add_argument("--m-max", type=nonnegative_int, default=0, help="modulus sweep bound")
     p_verify.add_argument("--n", help="comma-separated sizes (disjoint)")
-    p_verify.add_argument("--n-max", type=int, default=4, help="size sweep bound")
-    p_verify.add_argument("--v-max", type=int, default=3, help="scale factor bound")
-    p_verify.add_argument("--q-max", type=int, default=8, help="power-of-two bound")
-    p_verify.add_argument("--samples", type=int, default=10000, help="random cases")
-    p_verify.add_argument("--threads", type=int, help=_THREADS_HELP)
+    p_verify.add_argument("--n-max", type=nonnegative_int, default=4, help="size sweep bound")
+    p_verify.add_argument("--v-max", type=nonnegative_int, default=3, help="scale factor bound")
+    p_verify.add_argument("--q-max", type=nonnegative_int, default=8, help="power-of-two bound")
+    p_verify.add_argument("--samples", type=nonnegative_int, default=10000, help="random cases")
     p_verify.set_defaults(func=cmd_verify)
 
     p_cls = sub.add_parser("classify", help="submatrix size tied to a divisor set")
     p_cls.add_argument("elements", help="comma-separated divisor set, e.g. 1,3")
     p_cls.add_argument("--m", required=True, help="comma-separated candidate moduli")
     p_cls.add_argument("--format", choices=("human", "json"), default="human")
-    p_cls.add_argument("--threads", type=int, help=_THREADS_HELP)
     p_cls.set_defaults(func=cmd_classify)
 
     return parser

@@ -61,7 +61,7 @@ class CompatGraph:
     representatives: dict[PrimitiveSet, ResidueSet]
 
 
-def build_graph(m: int, n: int, threads: int | None = None) -> CompatGraph:
+def build_graph(m: int, n: int) -> CompatGraph:
     """Construct the compatibility graph for modulus m and size n.
 
     Enumerates the n-subsets of {0..m-1} that contain 0 (shifting leaves
@@ -69,8 +69,8 @@ def build_graph(m: int, n: int, threads: int | None = None) -> CompatGraph:
     buckets them by primitive set keeping the lexicographically least
     subset as the witness, tests every unordered bucket pair once, and keeps
     the vertices that appear in at least one passing pair.  Output is
-    independent of enumeration order.  ``threads`` is accepted and ignored:
-    the pair tests run sequentially.
+    independent of enumeration order.  Every edge is then re-checked by the
+    exact oracle; a failure raises VerificationError.
     """
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
@@ -99,20 +99,23 @@ def build_graph(m: int, n: int, threads: int | None = None) -> CompatGraph:
     vertices = frozenset(v for pair in edges for v in pair)
     representatives = {v: witnesses[v] for v in sorted(vertices)}
     graph = CompatGraph(m, n, vertices, edges, representatives)
-    _reverify_edges(graph)
+    if bad := _reverify_edges(graph):
+        raise VerificationError(
+            f"edge {bad[0]} -- {bad[1]} of G({m},{n}) failed exact re-verification"
+        )
     return graph
 
 
-def _reverify_edges(graph: CompatGraph) -> None:
-    """Post-build validation: every edge must pass the exact oracle."""
+def _reverify_edges(graph: CompatGraph) -> tuple[PrimitiveSet, PrimitiveSet] | None:
+    """The first edge, in sorted order, whose witnesses fail the exact
+    oracle, or None when every edge passes."""
     for p, q in sorted(graph.edges):
         spec = SubmatrixSpec(
             graph.m, graph.representatives[p], graph.representatives[q]
         )
         if is_hadamard_exact(spec).decision is not Decision.HADAMARD:
-            raise VerificationError(
-                f"edge {p} -- {q} of G({graph.m},{graph.n}) failed exact re-verification"
-            )
+            return p, q
+    return None
 
 
 def has_edge(graph: CompatGraph, p: PrimitiveSet, q: PrimitiveSet) -> bool:
@@ -303,10 +306,8 @@ def import_json(text: str) -> CompatGraph:
             raise GraphFormatError(f"representatives: missing entry for {v}")
 
     graph = CompatGraph(m, n, vertex_set, frozenset(edges), representatives)
-    for p, q in sorted(edges):
-        spec = SubmatrixSpec(m, representatives[p], representatives[q])
-        if is_hadamard_exact(spec).decision is not Decision.HADAMARD:
-            raise GraphFormatError(
-                f"edges: {p} -- {q}: witnesses do not form a Hadamard submatrix"
-            )
+    if bad := _reverify_edges(graph):
+        raise GraphFormatError(
+            f"edges: {bad[0]} -- {bad[1]}: witnesses do not form a Hadamard submatrix"
+        )
     return graph

@@ -78,8 +78,8 @@ RULES = (
 class SubmatrixSpec:
     """Rows j and columns k selected from the m-by-m Fourier matrix.
 
-    Rectangular selections are representable, but the decision operations
-    only accept square ones.
+    Only square selections can be Hadamard, so construction rejects a row
+    set and a column set of different sizes.
     """
 
     m: int
@@ -89,6 +89,11 @@ class SubmatrixSpec:
     def __post_init__(self):
         if self.j.modulus != self.m or self.k.modulus != self.m:
             raise ValueError("row and column sets must share the spec's modulus")
+        if len(self.j) != len(self.k):
+            raise ValueError(
+                f"row set has {len(self.j)} elements but column set has {len(self.k)}; "
+                "Hadamard submatrices are square"
+            )
 
     @classmethod
     def of(cls, m: int, j_elements, k_elements) -> "SubmatrixSpec":
@@ -106,15 +111,6 @@ class SubmatrixVerdict:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}")
-
-
-def _require_square(spec: SubmatrixSpec) -> int:
-    if len(spec.j) != len(spec.k):
-        raise ValueError(
-            f"row set has {len(spec.j)} elements but column set has {len(spec.k)}; "
-            "Hadamard submatrices are square"
-        )
-    return len(spec.j)
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +195,6 @@ def is_hadamard_exact(spec: SubmatrixSpec) -> SubmatrixVerdict:
     grow with m.  Never inconclusive.  On failure the witness carries the first s whose
     cyclotomic does not divide K(z).
     """
-    _require_square(spec)
     for s in primitive_set(spec.j).without_one():
         if not _cyclotomic_divides(s, spec.k.elements):
             return SubmatrixVerdict(
@@ -221,7 +216,7 @@ def is_hadamard_numeric(spec: SubmatrixSpec, tol: float = 1e-9) -> SubmatrixVerd
 
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    n = _require_square(spec)
+    n = len(spec.j)
     m = spec.m
     # j*k mod m in Python integers: an int64 product wraps once it passes 2^63
     phases = np.array(
@@ -286,6 +281,9 @@ def certify_by_complement(j: ResidueSet, k: ResidueSet, a) -> Decision:
         raise ValueError("complement elements must be nonnegative")
     if len(a_elems) != len(a_list):
         raise ValueError("complement has repeated elements")
+    # a tiling needs |k| * |a| = m; checked first, so a huge m allocates nothing
+    if len(k) * len(a_elems) != m:
+        raise ValueError("k + a is not a complete residue system mod m")
     seen = [0] * m
     for ke in k.elements:
         for ae in a_elems:
@@ -453,7 +451,7 @@ def is_hadamard(spec: SubmatrixSpec) -> SubmatrixVerdict:
     oracle.  All routes agree with the exact oracle; the sweep suites check
     that rather than assume it.
     """
-    n = _require_square(spec)
+    n = len(spec.j)
     if n == 2:
         return decide_2x2_general(spec.j, spec.k)
     if n == 3:

@@ -138,13 +138,12 @@ def compprop_violation(x: ResidueSet) -> dict | None:
     return None
 
 
-def check_compprop(
-    m_max: int = 20, size_max: int = 4, samples: int = 10000
-) -> dict | None:
-    """Exhaustive sweep up to m_max and size_max, then `samples` random cases
-    with moduli up to 5000 and sizes up to 8, drawn from a fixed seed."""
+def check_compprop(m_max: int, samples: int) -> dict | None:
+    """Exhaustive sweep over moduli up to m_max and sizes 2..4, then
+    `samples` random cases with moduli above m_max up to 5000 and sizes up
+    to 8, drawn from a fixed seed."""
     for m in range(2, m_max + 1):
-        for size in range(2, min(size_max, m) + 1):
+        for size in range(2, min(4, m) + 1):
             for elems in combinations(range(m), size):
                 bad = compprop_violation(ResidueSet(m, elems))
                 if bad:

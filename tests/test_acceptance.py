@@ -160,7 +160,7 @@ def test_criterion_07_property_suites():
     failures = []
     rng = random.Random(708)
 
-    bad = check_compprop(m_max=20, size_max=4, samples=10000)
+    bad = check_compprop(m_max=20, samples=10000)
     if bad:
         failures.append(("compprop", bad))
 

@@ -7,6 +7,7 @@ import pytest
 
 import fourier_hadamard
 from fourier_hadamard.cli import main
+from fourier_hadamard.hadamard import Decision, SubmatrixVerdict
 
 
 def run(argv, capsys):
@@ -84,7 +85,11 @@ def test_test_command_json(capsys):
 
 def test_test_command_usage(capsys):
     code, _, err = run(["test", "-m", "10", "-J", "0,1", "-K", "0,1,2"], capsys)
-    assert code == 2 and "error" in err
+    assert code == 2
+    assert err == (
+        "error: row set has 2 elements but column set has 3; "
+        "Hadamard submatrices are square\n"
+    )
 
 
 def test_graph_command(capsys, tmp_path):
@@ -166,20 +171,53 @@ def test_graph_dominant_reported(capsys):
 
 def test_graph_output_deterministic(capsys):
     code1, out1, _ = run(["graph", "-m", "24", "-n", "3"], capsys)
-    code2, out2, _ = run(["graph", "-m", "24", "-n", "3", "--threads", "4"], capsys)
+    code2, out2, _ = run(["graph", "-m", "24", "-n", "3"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_graph_verification_failure_exits_3(capsys, monkeypatch):
+    def always(spec):
+        return SubmatrixVerdict(Decision.HADAMARD, "exact")
+
+    monkeypatch.setattr("fourier_hadamard.graphs.is_hadamard", always)
+    code, out, err = run(["graph", "-m", "6", "-n", "2"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("verification failure: edge {1,2} -- {1,3} of G(6,2)")
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "counts2q", "--q-max", "3"], ["classify", "1,3", "--m", "12"]],
+    [
+        ["graph", "-m", "6", "-n", "2"],
+        ["verify", "counts2q", "--q-max", "3"],
+        ["classify", "1,3", "--m", "12"],
+    ],
 )
-def test_threads_flag_ignored(capsys, argv):
-    code1, out1, _ = run(argv, capsys)
-    code2, out2, _ = run(argv + ["--threads", "2"], capsys)
-    assert code1 == code2 == 0
-    assert out1 == out2
+def test_threads_flag_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle2", "--m-max", "-3"],
+        ["scaling", "--n-max", "-2"],
+        ["scaling", "--v-max", "-1"],
+        ["counts2q", "--q-max", "-1"],
+        ["compprop", "--samples", "-5"],
+    ],
+)
+def test_verify_negative_bound_exits_2(capsys, argv):
+    # a negative bound would sweep nothing and still print "suite ...: pass"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"] + argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {argv[1]}: must be nonnegative" in err
 
 
 def test_verify_suites(capsys):

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from fourier_hadamard import graphs
 from fourier_hadamard.graphs import (
     GraphFormatError,
+    VerificationError,
     build_graph,
     classify_submatrix_size,
     dominant_vertices,
@@ -12,6 +14,7 @@ from fourier_hadamard.graphs import (
     has_edge,
     import_json,
 )
+from fourier_hadamard.hadamard import Decision, SubmatrixVerdict
 from fourier_hadamard.primsets import PrimitiveSet
 from fourier_hadamard.sweeps import check_disjoint, check_scaling
 
@@ -172,7 +175,10 @@ def test_import_json_rejects_bad_documents():
     # structurally valid but incompatible pair: must fail re-verification
     doc = json.loads(text)
     doc["edges"].append([[1, 2], [1, 4]])
-    with pytest.raises(GraphFormatError, match="Hadamard"):
+    with pytest.raises(
+        GraphFormatError,
+        match=r"^edges: \{1,2\} -- \{1,4\}: witnesses do not form a Hadamard submatrix$",
+    ):
         import_json(json.dumps(doc))
 
 
@@ -185,8 +191,19 @@ def test_import_json_rejects_isolated_vertex():
 
 
 def test_build_determinism():
-    a = export_json(build_graph(30, 3))
-    b = export_json(build_graph(30, 3))
-    c = export_json(build_graph(30, 3, threads=4))
-    assert a == b == c
-    assert export_dot(build_graph(30, 3)) == export_dot(build_graph(30, 3, threads=3))
+    assert export_json(build_graph(30, 3)) == export_json(build_graph(30, 3))
+    assert export_dot(build_graph(30, 3)) == export_dot(build_graph(30, 3))
+
+
+def test_build_graph_reverification_catches_wrong_edges(monkeypatch):
+    # a pair phase that passes every pair must be caught by the exact
+    # re-check, naming the first wrong edge in sorted order
+    def always(spec):
+        return SubmatrixVerdict(Decision.HADAMARD, "exact")
+
+    monkeypatch.setattr(graphs, "is_hadamard", always)
+    with pytest.raises(
+        VerificationError,
+        match=r"^edge \{1,2\} -- \{1,3\} of G\(6,2\) failed exact re-verification$",
+    ):
+        build_graph(6, 2)

@@ -206,12 +206,11 @@ def test_exact_oracle_never_inconclusive_and_witnessed():
 
 
 def test_rectangular_rejected():
-    with pytest.raises(ValueError):
-        is_hadamard_exact(spec(10, (0, 1), (0, 1, 2)))
-    with pytest.raises(ValueError):
-        is_hadamard_numeric(spec(10, (0, 1), (0, 1, 2)))
-    with pytest.raises(ValueError):
-        is_hadamard(spec(10, (0, 1), (0, 1, 2)))
+    message = "row set has 2 elements but column set has 3; Hadamard submatrices are square"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        spec(10, (0, 1), (0, 1, 2))
+    with pytest.raises(ValueError, match="row set has 3 elements but column set has 2"):
+        SubmatrixSpec(10, ResidueSet(10, (0, 1, 2)), ResidueSet(10, (0, 1)))
 
 
 def test_numeric_oracle():
@@ -274,6 +273,15 @@ def test_certify_by_complement():
     with pytest.raises(ValueError):
         certify_by_complement(j, k, {0, 2})
     with pytest.raises(ValueError):
+        certify_by_complement(j, k, {0})
+
+
+def test_certify_by_complement_rejects_wrong_size_before_allocating():
+    # |K| * |A| != m rules out a tiling up front, so a huge m allocates
+    # nothing (the per-residue count list would need terabytes here)
+    m = 10**12
+    j, k = ResidueSet(m, (0, 1)), ResidueSet(m, (0, 1))
+    with pytest.raises(ValueError, match="^k \\+ a is not a complete residue system mod m$"):
         certify_by_complement(j, k, {0})
 
 
