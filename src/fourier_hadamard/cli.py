@@ -82,9 +82,9 @@ def cmd_primset(args) -> int:
     x = ResidueSet(args.m, _parse_elements(args.elements))
     diffs = sorted(difference_set(x))
     prims = primitive_set(x)
-    c = size_divisor(x)
-    size_screen = screen_size_divisor(x, len(x))
-    power_screen = screen_prime_powers(x)
+    c = size_divisor(prims)
+    size_screen = screen_size_divisor(prims, len(x))
+    power_screen = screen_prime_powers(args.m, prims)
     if args.format == "json":
         doc = {
             "m": args.m,

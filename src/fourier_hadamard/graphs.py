@@ -15,11 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
 
 from .hadamard import Decision, SubmatrixSpec, is_hadamard, is_hadamard_exact
-from .numtheory import cyclotomic_at_one
-from .primsets import PrimitiveSet, ResidueSet, primitive_set
+from .primsets import PrimitiveSet, ResidueSet, primitive_set, size_divisor
 
 __all__ = [
     "CompatGraph",
@@ -35,6 +33,10 @@ __all__ = [
 ]
 
 JSON_FORMAT = "compatgraph/1"
+
+# build_graph refuses to enumerate more 0-containing subsets than this,
+# about 15 minutes of work at 9 us per subset
+MAX_SUBSETS = 10**8
 
 
 class GraphFormatError(ValueError):
@@ -70,12 +72,14 @@ def build_graph(m: int, n: int) -> CompatGraph:
     subset as the witness, tests every unordered bucket pair once, and keeps
     the vertices that appear in at least one passing pair.  Output is
     independent of enumeration order.  Every edge is then re-checked by the
-    exact oracle; a failure raises VerificationError.
+    exact oracle; a failure raises VerificationError.  More than
+    MAX_SUBSETS subsets to enumerate raise ValueError up front.
     """
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
     if n > m:
         raise ValueError(f"size {n} exceeds modulus {m}")
+    _require_enumerable(m, n)
     witnesses: dict[PrimitiveSet, ResidueSet] = {}
     for tail in combinations(range(1, m), n - 1):
         subset = ResidueSet(m, (0,) + tail)
@@ -104,6 +108,19 @@ def build_graph(m: int, n: int) -> CompatGraph:
             f"edge {bad[0]} -- {bad[1]} of G({m},{n}) failed exact re-verification"
         )
     return graph
+
+
+def _require_enumerable(m: int, n: int) -> None:
+    """Raise ValueError when C(m-1, n-1), the number of 0-containing
+    n-subsets, exceeds MAX_SUBSETS.  With k = min(n-1, m-n) the partial
+    products C(m-1-k+i, i) at least double with i and end at C(m-1, n-1), so
+    the loop stops within a few dozen steps, however large m is."""
+    k = min(n - 1, m - n)
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (m - 1 - k + i) // i
+        if count > MAX_SUBSETS:
+            raise ValueError(f"G({m},{n}) has more than {MAX_SUBSETS} subsets to enumerate")
 
 
 def _reverify_edges(graph: CompatGraph) -> tuple[PrimitiveSet, PrimitiveSet] | None:
@@ -157,7 +174,7 @@ def classify_submatrix_size(x, m_candidates) -> int:
     if 1 not in elements:
         return 0  # every primitive set contains 1
     target = PrimitiveSet(elements)
-    divisor = prod(cyclotomic_at_one(s) for s in elements if s > 1)
+    divisor = size_divisor(target)
     for m in candidates:
         if m < 1:
             raise ValueError(f"candidate modulus must be positive, got {m}")

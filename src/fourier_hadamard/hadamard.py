@@ -230,27 +230,27 @@ def is_hadamard_numeric(spec: SubmatrixSpec, tol: float = 1e-9) -> SubmatrixVerd
     return SubmatrixVerdict(decision, "numeric", {"kind": "gram", "deviation": dev})
 
 
-def screen_size_divisor(j: ResidueSet, n: int) -> Screen:
-    """Rule out a row set when its size divisor does not divide n.
+def screen_size_divisor(prims: PrimitiveSet, n: int) -> Screen:
+    """Rule out row sets with primitive set prims when its size divisor does
+    not divide n.
 
-    An n-by-n Hadamard submatrix with rows j forces every cyclotomic over
-    the primitive set of j to divide K(z), so evaluating at 1 forces the
-    size divisor to divide n = K(1).  No column set can work when it fails.
+    An n-by-n Hadamard submatrix with these rows forces every cyclotomic
+    over prims to divide K(z), so evaluating at 1 forces the size divisor to
+    divide n = K(1).  No column set can work when it fails.
     """
-    c = size_divisor(j)
-    return Screen.RULED_OUT if n % c else Screen.INCONCLUSIVE
+    return Screen.RULED_OUT if n % size_divisor(prims) else Screen.INCONCLUSIVE
 
 
-def screen_prime_powers(j: ResidueSet) -> Screen:
-    """Rule out a row set whose primitive set holds every prime-power divisor
-    of m yet misses some divisor of m.
+def screen_prime_powers(m: int, prims: PrimitiveSet) -> Screen:
+    """Rule out row sets mod m whose primitive set holds every prime-power
+    divisor of m yet misses some divisor of m.
 
     In that case the size divisor equals m, forcing the row set to be all of
     {0..m-1}, whose primitive set has every divisor; the gap is a
-    contradiction.
+    contradiction.  Elements that do not divide m raise ValueError.
     """
-    m = j.modulus
-    prims = primitive_set(j)
+    if any(m % s for s in prims):
+        raise ValueError(f"{prims} has elements not dividing m={m}")
     prime_powers = [p**t for p, e in factorize(m) for t in range(1, e + 1)]
     if all(q in prims for q in prime_powers) and any(
         d not in prims for d in divisors(m)
@@ -343,21 +343,30 @@ def find_complement(k: ResidueSet) -> set[int] | None:
     return None
 
 
-def decide_2x2_power_of_two(q: int, j: ResidueSet, k: ResidueSet) -> SubmatrixVerdict:
-    """Closed form for 2x2 selections from the 2^q-point Fourier matrix.
+def _require_primitive_sets(m: int, n: int, *sets: PrimitiveSet) -> None:
+    """Reject sets that no n-element selection mod m, n >= 2, has as its
+    primitive set: each element must divide m, and 1 plus one order per
+    pair of rows make 2 to C(n,2) + 1 elements (exactly 2 when n = 2)."""
+    for prims in sets:
+        if any(m % s for s in prims):
+            raise ValueError(f"{prims} has elements not dividing m={m}")
+        if not 2 <= len(prims) <= n * (n - 1) // 2 + 1:
+            raise ValueError(f"{prims} is not the primitive set of a {n}-element selection")
+
+
+def decide_2x2_power_of_two(m: int, pj: PrimitiveSet, pk: PrimitiveSet) -> SubmatrixVerdict:
+    """Closed form for 2x2 selections from the m-point Fourier matrix,
+    m = 2^q >= 2, on their primitive sets pj and pk.
 
     Both primitive sets are {1, 2^a}; the pair is Hadamard exactly when the
     two exponents add up to q + 1.
     """
-    if q < 1:
-        raise ValueError(f"q must be positive, got {q}")
-    m = 2**q
-    if j.modulus != m or k.modulus != m:
-        raise ValueError(f"selections must have modulus 2^{q} = {m}")
-    if len(j) != 2 or len(k) != 2:
-        raise ValueError("both selections must have exactly 2 elements")
-    (sj,) = primitive_set(j).without_one()
-    (sk,) = primitive_set(k).without_one()
+    if m < 2 or m & (m - 1):
+        raise ValueError(f"{m} is not a power of two >= 2")
+    _require_primitive_sets(m, 2, pj, pk)
+    q = m.bit_length() - 1
+    (sj,) = pj.without_one()
+    (sk,) = pk.without_one()
     aj = sj.bit_length() - 1
     ak = sk.bit_length() - 1
     witness = {"kind": "pow2-exponents", "exponents": (aj, ak), "required_sum": q + 1}
@@ -366,22 +375,17 @@ def decide_2x2_power_of_two(q: int, j: ResidueSet, k: ResidueSet) -> SubmatrixVe
     return SubmatrixVerdict(Decision.NOT_HADAMARD, "2by2-power-of-two", witness)
 
 
-def decide_2x2_twice_prime(p: int, j: ResidueSet, k: ResidueSet) -> SubmatrixVerdict:
-    """Closed form for 2x2 selections from the 2p-point Fourier matrix, p an
-    odd prime: the only Hadamard pairings of primitive sets are
-    ({1,2},{1,2}) and {1,2} with {1,2p} in either order.
+def decide_2x2_twice_prime(m: int, pj: PrimitiveSet, pk: PrimitiveSet) -> SubmatrixVerdict:
+    """Closed form for 2x2 selections from the m-point Fourier matrix, m = 2p
+    with p an odd prime, on their primitive sets pj and pk: the only Hadamard
+    pairings are ({1,2},{1,2}) and {1,2} with {1,2p} in either order.
     """
-    if p < 3 or factorize(p) != [(p, 1)]:
-        raise ValueError(f"{p} is not an odd prime")
-    m = 2 * p
-    if j.modulus != m or k.modulus != m:
-        raise ValueError(f"selections must have modulus 2*{p} = {m}")
-    if len(j) != 2 or len(k) != 2:
-        raise ValueError("both selections must have exactly 2 elements")
-    pj = primitive_set(j)
-    pk = primitive_set(k)
+    p = m // 2
+    if m % 2 or p < 3 or factorize(p) != [(p, 1)]:
+        raise ValueError(f"{m} is not twice an odd prime")
+    _require_primitive_sets(m, 2, pj, pk)
     two = PrimitiveSet((1, 2))
-    twop = PrimitiveSet((1, 2 * p))
+    twop = PrimitiveSet((1, m))
     good = (pj, pk) in {(two, two), (two, twop), (twop, two)}
     witness = {"kind": "pair", "pj": pj.elements, "pk": pk.elements}
     decision = Decision.HADAMARD if good else Decision.NOT_HADAMARD
@@ -389,37 +393,34 @@ def decide_2x2_twice_prime(p: int, j: ResidueSet, k: ResidueSet) -> SubmatrixVer
 
 
 def _balance_verdict(
-    j: ResidueSet, k: ResidueSet, size: int, special: int, rule: str
+    m: int, pj: PrimitiveSet, pk: PrimitiveSet, p: int, rule: str
 ) -> SubmatrixVerdict:
-    """Shared p-adic balance test behind the 2x2 and 3x3 characterizations.
+    """Shared p-adic balance test behind the p-by-p characterizations,
+    p = 2 or 3, on the primitive sets pj and pk of the rows and the columns.
 
-    Hadamard iff, over the primitive sets minus {1}: the special prime's
-    minimum and maximum orders both sum to ord(m) + 1, and every other prime
-    dividing m has maximum orders summing to at most ord(m).
+    Hadamard iff, over the primitive sets minus {1}: p's minimum and maximum
+    orders both sum to ord_p(m) + 1, and every other prime dividing m has
+    maximum orders summing to at most its order in m.
     """
-    if j.modulus != k.modulus:
-        raise ValueError("row and column sets must share a modulus")
-    if len(j) != size or len(k) != size:
-        raise ValueError(f"both selections must have exactly {size} elements")
-    m = j.modulus
-    pj = primitive_set(j).without_one()
-    pk = primitive_set(k).without_one()
-    order = 0  # ord_special(m); stays 0 when special does not divide m
-    for p, e in factorize(m):
-        if p == special:
+    _require_primitive_sets(m, p, pj, pk)
+    sj = pj.without_one()
+    sk = pk.without_one()
+    order = 0  # ord_p(m); stays 0 when p does not divide m
+    for r, e in factorize(m):
+        if r == p:
             order = e
             continue
-        hi = p_adic_extremes(p, pj)[1] + p_adic_extremes(p, pk)[1]
+        hi = p_adic_extremes(r, sj)[1] + p_adic_extremes(r, sk)[1]
         if hi > e:
-            witness = {"kind": "excess", "prime": p, "max_sum": hi, "limit": e}
+            witness = {"kind": "excess", "prime": r, "max_sum": hi, "limit": e}
             return SubmatrixVerdict(Decision.NOT_HADAMARD, rule, witness)
-    lo_j, hi_j = p_adic_extremes(special, pj)
-    lo_k, hi_k = p_adic_extremes(special, pk)
+    lo_j, hi_j = p_adic_extremes(p, sj)
+    lo_k, hi_k = p_adic_extremes(p, sk)
     required = order + 1
     if not (lo_j + lo_k == hi_j + hi_k == required):
         witness = {
             "kind": "balance",
-            "prime": special,
+            "prime": p,
             "min_sum": lo_j + lo_k,
             "max_sum": hi_j + hi_k,
             "required": required,
@@ -428,32 +429,31 @@ def _balance_verdict(
     return SubmatrixVerdict(Decision.HADAMARD, rule)
 
 
-def decide_2x2_general(j: ResidueSet, k: ResidueSet) -> SubmatrixVerdict:
-    """2x2 test for any modulus: 2-adic orders must balance to ord_2(m) + 1
-    and no odd prime may overshoot its order in m.
+def decide_2x2_general(m: int, pj: PrimitiveSet, pk: PrimitiveSet) -> SubmatrixVerdict:
+    """2x2 test for any modulus m on primitive sets pj and pk: 2-adic orders
+    must balance to ord_2(m) + 1 and no odd prime may overshoot its order in m.
     """
-    return _balance_verdict(j, k, 2, 2, "gen2by2")
+    return _balance_verdict(m, pj, pk, 2, "gen2by2")
 
 
-def decide_3x3(j: ResidueSet, k: ResidueSet) -> SubmatrixVerdict:
-    """3x3 test for any modulus: 3-adic orders must balance to ord_3(m) + 1
-    and no other prime may overshoot its order in m.
+def decide_3x3(m: int, pj: PrimitiveSet, pk: PrimitiveSet) -> SubmatrixVerdict:
+    """3x3 test for any modulus m on primitive sets pj and pk: 3-adic orders
+    must balance to ord_3(m) + 1 and no other prime may overshoot its order.
     """
-    return _balance_verdict(j, k, 3, 3, "3by3")
+    return _balance_verdict(m, pj, pk, 3, "3by3")
 
 
 def is_hadamard(spec: SubmatrixSpec) -> SubmatrixVerdict:
     """Decide with the rule that explains the verdict for the selection size.
 
-    2x2 and 3x3 go to their closed-form tests because their witnesses name
-    the failing p-adic condition, which ``fhad test`` prints; the choice is
-    for the explanation, not for speed.  Every other size goes to the exact
-    oracle.  All routes agree with the exact oracle; the sweep suites check
-    that rather than assume it.
+    2x2 and 3x3 go to their closed-form tests, on P(J) and P(K) computed
+    here, because their witnesses name the failing p-adic condition, which
+    ``fhad test`` prints; the choice is for the explanation, not for speed.
+    Every other size goes to the exact oracle.  All routes agree with the
+    exact oracle; the sweep suites check that rather than assume it.
     """
     n = len(spec.j)
-    if n == 2:
-        return decide_2x2_general(spec.j, spec.k)
-    if n == 3:
-        return decide_3x3(spec.j, spec.k)
+    if n in (2, 3):
+        decide = decide_2x2_general if n == 2 else decide_3x3
+        return decide(spec.m, primitive_set(spec.j), primitive_set(spec.k))
     return is_hadamard_exact(spec)

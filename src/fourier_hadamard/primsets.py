@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 from .numtheory import cyclotomic_at_one
 
@@ -124,18 +124,16 @@ def primitive_set(x: ResidueSet) -> PrimitiveSet:
     return PrimitiveSet(prims)
 
 
-def size_divisor(x: ResidueSet) -> int:
-    """Product of cyclotomic values at 1 over the primitive set of x, minus 1.
+def size_divisor(prims: PrimitiveSet) -> int:
+    """Product of the cyclotomic values at 1 over the members of a primitive
+    set other than 1.
 
     Equivalently the product of the prime bases of the prime-power members.
-    Any Hadamard submatrix whose row set is x has a size divisible by this
-    number, which makes it a cheap screen.  A singleton gives the empty
-    product, 1.
+    Any Hadamard submatrix whose row set has this primitive set has a size
+    divisible by this number, which makes it a cheap screen.  {1}, the
+    primitive set of a singleton, gives the empty product, 1.
     """
-    out = 1
-    for s in primitive_set(x).without_one():
-        out *= cyclotomic_at_one(s)
-    return out
+    return prod(cyclotomic_at_one(s) for s in prims.without_one())
 
 
 def shift(x: ResidueSet, v: int) -> ResidueSet:

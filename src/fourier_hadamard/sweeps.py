@@ -1,17 +1,20 @@
 """Verification sweeps over ranges of moduli and selection sizes.
 
 Each sweep returns None on a clean pass or a dict describing the first
-counterexample found.  The CLI runs them behind the ``verify`` subcommand;
-the test suite asserts they come back clean.  The oracle sweeps decide the
-exact side of every pair by one set inclusion, P(J) minus {1} within Z(K),
-from primitive and vanishing sets computed once per subset and modulus.
-The vertex-set checks (disjointness across sizes, containment under
-scaling) live here and build each graph they compare once per modulus.
+counterexample found; bounds that select no case raise ValueError, so a
+sweep that checks nothing never passes.  The CLI runs them behind the
+``verify`` subcommand; the test suite asserts they come back clean.  The
+oracle sweeps compute P(x) and Z(x) once per subset and modulus, pass the
+primitive sets to the closed form and decide the exact side of every pair
+by one set inclusion, P(J) minus {1} within Z(K).  The vertex-set checks
+(disjointness across sizes, containment under scaling) live here and build
+each graph they compare once per call.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 from .graphs import build_graph
@@ -38,6 +41,8 @@ def check_counts_power_of_two(
     Expected counts are q vertices and ceil(q/2) edges.  Returns the
     observed (q, |V|, |E|) rows plus the first mismatch, if any.
     """
+    if q_max < 1:
+        raise ValueError(f"counts2q checks nothing for q_max = {q_max}")
     rows = []
     for q in range(1, q_max + 1):
         graph = build_graph(2**q, 2)
@@ -54,21 +59,19 @@ def check_counts_power_of_two(
     return rows, None
 
 
-def _zero_subsets(m: int, n: int):
-    for tail in combinations(range(1, m), n - 1):
-        yield (0,) + tail
-
-
 def _oracle_equivalence(m_max: int, n: int, fast_test) -> dict | None:
+    if m_max < n:
+        raise ValueError(f"oracle{n} checks nothing for m_max = {m_max}")
     for m in range(n, m_max + 1):
-        # each subset with P(x) minus {1} and Z(x), computed once per m
+        # each 0-containing subset with P(x) and Z(x), computed once per m
         rows = [
-            (x, frozenset(primitive_set(x).without_one()), vanishing_set(x))
-            for x in (ResidueSet(m, s) for s in _zero_subsets(m, n))
+            (x, primitive_set(x), vanishing_set(x))
+            for x in (ResidueSet(m, (0,) + t) for t in combinations(range(1, m), n - 1))
         ]
-        for i, (j, prims, _) in enumerate(rows):
-            for k, _, zeros in rows[i:]:
-                fast = fast_test(j, k).decision
+        for i, (j, pj, _) in enumerate(rows):
+            prims = frozenset(pj.without_one())
+            for k, pk, zeros in rows[i:]:
+                fast = fast_test(m, pj, pk).decision
                 exact = Decision.HADAMARD if prims <= zeros else Decision.NOT_HADAMARD
                 if fast is not exact:
                     return {
@@ -86,8 +89,8 @@ def check_oracle_2x2(m_max: int) -> dict | None:
     """The general 2x2 test must agree with the exact oracle on every pair
     of 0-containing 2-subsets for all moduli up to m_max.
 
-    The exact verdict for rows J and columns K is the inclusion of P(J)
-    minus {1} in the vanishing set Z(K), both computed once per subset.
+    The test gets P(J) and P(K); the exact verdict is the inclusion of P(J)
+    minus {1} in the vanishing set Z(K), all computed once per subset.
     """
     return _oracle_equivalence(m_max, 2, decide_2x2_general)
 
@@ -96,8 +99,8 @@ def check_oracle_3x3(m_max: int) -> dict | None:
     """The 3x3 test must agree with the exact oracle on every pair of
     0-containing 3-subsets for all moduli up to m_max.
 
-    The exact verdict for rows J and columns K is the inclusion of P(J)
-    minus {1} in the vanishing set Z(K), both computed once per subset.
+    The test gets P(J) and P(K); the exact verdict is the inclusion of P(J)
+    minus {1} in the vanishing set Z(K), all computed once per subset.
     """
     return _oracle_equivalence(m_max, 3, decide_3x3)
 
@@ -142,6 +145,8 @@ def check_compprop(m_max: int, samples: int) -> dict | None:
     """Exhaustive sweep over moduli up to m_max and sizes 2..4, then
     `samples` random cases with moduli above m_max up to 5000 and sizes up
     to 8, drawn from a fixed seed."""
+    if m_max < 2 and samples < 1:
+        raise ValueError("compprop checks nothing unless m_max >= 2 or samples >= 1")
     for m in range(2, m_max + 1):
         for size in range(2, min(4, m) + 1):
             for elems in combinations(range(m), size):
@@ -165,32 +170,33 @@ def check_disjoint(m_values, n_values) -> dict | None:
     Sizes above m are skipped; a size repeated among the rest raises
     ValueError.  Each G(m,n) is built once, when its first pair comes up.
     """
+    graph = lru_cache(maxsize=None)(build_graph)
+    compared = False
     for m in m_values:
         sizes = [n for n in n_values if n <= m]
-        graphs = {}
         for n, n2 in combinations(sizes, 2):
             if n == n2:
                 raise ValueError("sizes must differ")
-            for size in (n, n2):
-                if size not in graphs:
-                    graphs[size] = build_graph(m, size)
-            if graphs[n].vertices & graphs[n2].vertices:
+            compared = True
+            if graph(m, n).vertices & graph(m, n2).vertices:
                 return {"suite": "disjoint", "m": m, "n": n, "n2": n2}
+    if not compared:
+        raise ValueError("disjoint checks nothing: no modulus has two sizes")
     return None
 
 
 def check_scaling(m_max: int, v_max: int, n_max: int) -> dict | None:
-    """V(G(m,n)) must embed in V(G(v*m,n)) for every scale factor v.
+    """V(G(m,n)) must embed in V(G(v*m,n)) for m <= m_max, n <= n_max and
+    2 <= v <= v_max (at v = 1 it is G(m,n) itself).
 
-    Each G(m,n) is built once per m; G(v*m,n) is built only for v >= 2,
-    since at v = 1 it is G(m,n) itself.
+    Each G(m,n) is built once, when a comparison first needs it.
     """
-    if v_max < 1:
-        return None
+    if m_max < 1 or v_max < 2 or n_max < 1:
+        raise ValueError("scaling checks nothing unless m_max, n_max >= 1 and v_max >= 2")
+    graph = lru_cache(maxsize=None)(build_graph)
     for m in range(1, m_max + 1):
-        small = {n: build_graph(m, n) for n in range(1, min(n_max, m) + 1)}
         for v in range(2, v_max + 1):
-            for n, graph in small.items():
-                if not graph.vertices <= build_graph(v * m, n).vertices:
+            for n in range(1, min(n_max, m) + 1):
+                if not graph(m, n).vertices <= graph(v * m, n).vertices:
                     return {"suite": "scaling", "m": m, "v": v, "n": n}
     return None

@@ -107,9 +107,9 @@ def test_criterion_05_example_battery():
         is_hadamard_exact(SubmatrixSpec.of(6, (0, 4), k)).decision is Decision.NOT_HADAMARD
         for k in combinations(range(6), 2)
     )
-    j6000 = ResidueSet(6000, (0, 5, 375))
-    checks.append(size_divisor(j6000) == 2)
-    checks.append(screen_size_divisor(j6000, 3) is Screen.RULED_OUT)
+    p6000 = primitive_set(ResidueSet(6000, (0, 5, 375)))
+    checks.append(size_divisor(p6000) == 2)
+    checks.append(screen_size_divisor(p6000, 3) is Screen.RULED_OUT)
     _report(5, "worked-example battery (exact oracle)", all(checks), time.time() - start, 5)
 
 

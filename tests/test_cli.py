@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -220,6 +221,28 @@ def test_verify_negative_bound_exits_2(capsys, argv):
     assert out == "" and f"argument {argv[1]}: must be nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counts2q", "--q-max", "0"],
+        ["scaling", "--v-max", "1"],
+        ["scaling", "--v-max", "0"],
+        ["scaling", "--n-max", "0"],
+        ["oracle2", "--m-max", "1"],
+        ["oracle3", "--m-max", "2"],
+        ["disjoint", "--n-max", "1"],
+        ["disjoint", "-m", "12", "--n", "2"],
+        ["compprop", "--m-max", "1", "--samples", "0"],
+    ],
+)
+def test_verify_bounds_selecting_no_case_exit_2(capsys, argv):
+    # a sweep that checks nothing must not print "suite ...: pass"
+    code, out, err = run(["verify"] + argv, capsys)
+    assert code == 2
+    assert "pass" not in out
+    assert err.startswith("error: ") and "checks nothing" in err
+
+
 def test_verify_suites(capsys):
     code, out, _ = run(["verify", "counts2q", "--q-max", "4"], capsys)
     assert code == 0
@@ -242,6 +265,21 @@ def test_verify_suites(capsys):
 
     code, out, _ = run(["verify", "scaling", "--m-max", "4"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "-m", "1000000", "-n", "500000"],
+        ["classify", "1,2", "--m", "1000000000000"],
+    ],
+)
+def test_huge_enumeration_refused(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: G(") and "subsets to enumerate" in err
 
 
 def test_verify_unknown_suite_exits_2(capsys):

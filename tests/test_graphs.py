@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -60,6 +61,20 @@ def test_build_graph_validation():
         build_graph(4, 0)
 
 
+def test_subset_guard_bounds():
+    # G(60,7), the largest graph the project plans to build, is admitted;
+    # the guard only counts, so nothing is built here
+    assert comb(59, 6) == 45_057_474 <= graphs.MAX_SUBSETS
+    graphs._require_enumerable(60, 7)
+    for m in range(1, 40):
+        for n in range(1, m + 1):
+            if comb(m - 1, n - 1) > graphs.MAX_SUBSETS:
+                with pytest.raises(ValueError, match="subsets to enumerate"):
+                    graphs._require_enumerable(m, n)
+            else:
+                graphs._require_enumerable(m, n)
+
+
 def test_edge_membership():
     g = build_graph(180, 2)
     assert has_edge(g, pset(1, 20), pset(1, 18))
@@ -92,10 +107,11 @@ def test_disjoint_vertices():
 
 
 def test_scaling_containment():
-    # check_scaling sweeps every m' <= m and v' <= v, so these cover
-    # (m, v, n) = (6, 2, 2), (9, 1, 2) and (4, 3, 2)
+    # check_scaling sweeps every m' <= m and 2 <= v' <= v, so these cover
+    # (m, v, n) = (6, 2, 2) and (4, 3, 2); v = 1 compares nothing
     assert check_scaling(6, 2, 2) is None
-    assert check_scaling(9, 1, 2) is None
+    with pytest.raises(ValueError, match="scaling checks nothing"):
+        check_scaling(9, 1, 2)
     assert check_scaling(4, 3, 2) is None
 
 

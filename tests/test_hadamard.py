@@ -26,7 +26,7 @@ from fourier_hadamard.hadamard import (
 )
 from fourier_hadamard.numtheory import divisors
 from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, primitive_set, shift
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from dense_reference import IntPoly, cyclotomic, poly_divides, set_polynomial
 
@@ -234,16 +234,22 @@ def test_numeric_oracle_large_modulus():
     assert is_hadamard_numeric(repeated_class).decision is Decision.NOT_HADAMARD
 
 
+def prim(m, elements):
+    return primitive_set(ResidueSet(m, elements))
+
+
 def test_screen_size_divisor():
-    assert screen_size_divisor(ResidueSet(6000, (0, 5, 375)), 3) is Screen.RULED_OUT
-    assert screen_size_divisor(ResidueSet(6, (0, 4)), 2) is Screen.RULED_OUT
-    assert screen_size_divisor(ResidueSet(10, (0, 1, 7, 8, 9)), 5) is Screen.INCONCLUSIVE
+    assert screen_size_divisor(prim(6000, (0, 5, 375)), 3) is Screen.RULED_OUT
+    assert screen_size_divisor(prim(6, (0, 4)), 2) is Screen.RULED_OUT
+    assert screen_size_divisor(prim(10, (0, 1, 7, 8, 9)), 5) is Screen.INCONCLUSIVE
 
 
 def test_screen_prime_powers():
-    assert screen_prime_powers(ResidueSet(12, (0, 1, 6, 9))) is Screen.RULED_OUT
-    assert screen_prime_powers(ResidueSet(12, tuple(range(12)))) is Screen.INCONCLUSIVE
-    assert screen_prime_powers(ResidueSet(10, (0, 1, 7, 8, 9))) is Screen.INCONCLUSIVE
+    assert screen_prime_powers(12, prim(12, (0, 1, 6, 9))) is Screen.RULED_OUT
+    assert screen_prime_powers(12, prim(12, tuple(range(12)))) is Screen.INCONCLUSIVE
+    assert screen_prime_powers(10, prim(10, (0, 1, 7, 8, 9))) is Screen.INCONCLUSIVE
+    with pytest.raises(ValueError, match="has elements not dividing m=10"):
+        screen_prime_powers(10, PrimitiveSet((1, 4)))
 
 
 def test_screens_never_contradict_oracle():
@@ -255,7 +261,7 @@ def test_screens_never_contradict_oracle():
             k_sets = [(0,) + t for t in combinations(range(1, m), n - 1)]
             for j_tail in combinations(range(1, m), n - 1):
                 j = ResidueSet(m, (0,) + j_tail)
-                if screen_size_divisor(j, n) is Screen.RULED_OUT:
+                if screen_size_divisor(primitive_set(j), n) is Screen.RULED_OUT:
                     for k in k_sets:
                         assert is_hadamard_exact(spec(m, j.elements, k)).decision is Decision.NOT_HADAMARD
 
@@ -353,13 +359,19 @@ def test_find_complement_is_tiling():
 
 
 def test_2x2_power_of_two_cases():
-    assert decide_2x2_power_of_two(2, ResidueSet(4, (0, 2)), ResidueSet(4, (0, 1))).decision is Decision.HADAMARD
-    assert decide_2x2_power_of_two(4, ResidueSet(16, (0, 1)), ResidueSet(16, (0, 1))).decision is Decision.NOT_HADAMARD
-    assert decide_2x2_power_of_two(1, ResidueSet(2, (0, 1)), ResidueSet(2, (0, 1))).decision is Decision.HADAMARD
-    with pytest.raises(ValueError):
-        decide_2x2_power_of_two(3, ResidueSet(4, (0, 2)), ResidueSet(4, (0, 1)))
-    with pytest.raises(ValueError):
-        decide_2x2_power_of_two(2, ResidueSet(4, (0, 1, 2)), ResidueSet(4, (0, 1)))
+    assert decide_2x2_power_of_two(4, prim(4, (0, 2)), prim(4, (0, 1))).decision is Decision.HADAMARD
+    assert decide_2x2_power_of_two(16, prim(16, (0, 1)), prim(16, (0, 1))).decision is Decision.NOT_HADAMARD
+    assert decide_2x2_power_of_two(2, prim(2, (0, 1)), prim(2, (0, 1))).decision is Decision.HADAMARD
+    # a modulus that is no power of two (the old q disagreeing with m)
+    with pytest.raises(ValueError, match="^12 is not a power of two >= 2$"):
+        decide_2x2_power_of_two(12, prim(12, (0, 6)), prim(12, (0, 3)))
+    with pytest.raises(ValueError, match="^1 is not a power of two >= 2$"):
+        decide_2x2_power_of_two(1, PrimitiveSet((1,)), PrimitiveSet((1,)))
+    with pytest.raises(ValueError, match="has elements not dividing m=4"):
+        decide_2x2_power_of_two(4, prim(8, (0, 1)), prim(4, (0, 1)))
+    # the primitive set of a 3-selection (the old wrong-size selection)
+    with pytest.raises(ValueError, match="is not the primitive set of a 2-element selection"):
+        decide_2x2_power_of_two(4, prim(4, (0, 1, 2)), prim(4, (0, 1)))
 
 
 def test_2x2_power_of_two_matches_exact():
@@ -368,19 +380,23 @@ def test_2x2_power_of_two_matches_exact():
         pairs = [(0, x) for x in range(1, m)]
         for j in pairs:
             for k in pairs:
-                fast = decide_2x2_power_of_two(q, ResidueSet(m, j), ResidueSet(m, k))
+                fast = decide_2x2_power_of_two(m, prim(m, j), prim(m, k))
                 exact = is_hadamard_exact(spec(m, j, k))
                 assert fast.decision is exact.decision
 
 
 def test_2x2_twice_prime_cases():
-    assert decide_2x2_twice_prime(3, ResidueSet(6, (0, 3)), ResidueSet(6, (0, 3))).decision is Decision.HADAMARD
-    assert decide_2x2_twice_prime(3, ResidueSet(6, (0, 4)), ResidueSet(6, (0, 3))).decision is Decision.NOT_HADAMARD
-    assert decide_2x2_twice_prime(5, ResidueSet(10, (0, 5)), ResidueSet(10, (0, 1))).decision is Decision.HADAMARD
-    with pytest.raises(ValueError):
-        decide_2x2_twice_prime(4, ResidueSet(8, (0, 1)), ResidueSet(8, (0, 1)))
-    with pytest.raises(ValueError):
-        decide_2x2_twice_prime(3, ResidueSet(7, (0, 1)), ResidueSet(7, (0, 1)))
+    assert decide_2x2_twice_prime(6, prim(6, (0, 3)), prim(6, (0, 3))).decision is Decision.HADAMARD
+    assert decide_2x2_twice_prime(6, prim(6, (0, 4)), prim(6, (0, 3))).decision is Decision.NOT_HADAMARD
+    assert decide_2x2_twice_prime(10, prim(10, (0, 5)), prim(10, (0, 1))).decision is Decision.HADAMARD
+    # a modulus that is not twice an odd prime (the old p = 4)
+    with pytest.raises(ValueError, match="^8 is not twice an odd prime$"):
+        decide_2x2_twice_prime(8, prim(8, (0, 1)), prim(8, (0, 1)))
+    # sets from another modulus (the old p = 3 against selections mod 7)
+    with pytest.raises(ValueError, match="has elements not dividing m=6"):
+        decide_2x2_twice_prime(6, prim(7, (0, 1)), prim(7, (0, 1)))
+    with pytest.raises(ValueError, match="^7 is not twice an odd prime$"):
+        decide_2x2_twice_prime(7, prim(7, (0, 1)), prim(7, (0, 1)))
 
 
 def test_2x2_twice_prime_matches_exact():
@@ -389,7 +405,7 @@ def test_2x2_twice_prime_matches_exact():
         pairs = [(0, x) for x in range(1, m)]
         for j in pairs:
             for k in pairs:
-                fast = decide_2x2_twice_prime(p, ResidueSet(m, j), ResidueSet(m, k))
+                fast = decide_2x2_twice_prime(m, prim(m, j), prim(m, k))
                 exact = is_hadamard_exact(spec(m, j, k))
                 assert fast.decision is exact.decision
 
@@ -399,26 +415,74 @@ def test_2x2_general_cases():
     k = ResidueSet(180, (0, 10))
     assert primitive_set(j) == PrimitiveSet([1, 20])
     assert primitive_set(k) == PrimitiveSet([1, 18])
-    assert decide_2x2_general(j, k).decision is Decision.HADAMARD
-    bad = decide_2x2_general(ResidueSet(180, (0, 10)), ResidueSet(180, (0, 30)))
+    assert decide_2x2_general(180, primitive_set(j), primitive_set(k)).decision is Decision.HADAMARD
+    bad = decide_2x2_general(180, prim(180, (0, 10)), prim(180, (0, 30)))
     assert bad.decision is Decision.NOT_HADAMARD
     assert bad.witness == {"kind": "excess", "prime": 3, "max_sum": 3, "limit": 2}
-    assert decide_2x2_general(ResidueSet(2, (0, 1)), ResidueSet(2, (0, 1))).decision is Decision.HADAMARD
-    with pytest.raises(ValueError):
-        decide_2x2_general(ResidueSet(8, (0, 1, 2)), ResidueSet(8, (0, 1, 2)))
+    assert decide_2x2_general(2, prim(2, (0, 1)), prim(2, (0, 1))).decision is Decision.HADAMARD
+    # the primitive set of a 3-selection (the old wrong-size selections), and
+    # {1}, which no 2-selection has
+    with pytest.raises(ValueError, match="is not the primitive set of a 2-element selection"):
+        decide_2x2_general(8, prim(8, (0, 1, 2)), prim(8, (0, 1, 2)))
+    with pytest.raises(ValueError, match="is not the primitive set of a 2-element selection"):
+        decide_2x2_general(8, PrimitiveSet((1,)), prim(8, (0, 1)))
+    with pytest.raises(ValueError, match="has elements not dividing m=8"):
+        decide_2x2_general(8, prim(16, (0, 1)), prim(8, (0, 1)))
 
 
 def test_3x3_cases():
     # {1,9,45} and {1,6,12} are compatible mod 180
     j = _with_primitive_set(180, 3, (1, 9, 45))
     k = _with_primitive_set(180, 3, (1, 6, 12))
-    assert decide_3x3(j, k).decision is Decision.HADAMARD
+    assert decide_3x3(180, primitive_set(j), primitive_set(k)).decision is Decision.HADAMARD
     j2 = _with_primitive_set(180, 3, (1, 15, 60))
     k2 = _with_primitive_set(180, 3, (1, 30, 60))
-    assert decide_3x3(j2, k2).decision is Decision.NOT_HADAMARD
-    assert decide_3x3(ResidueSet(3, (0, 1, 2)), ResidueSet(3, (0, 1, 2))).decision is Decision.HADAMARD
-    with pytest.raises(ValueError):
-        decide_3x3(ResidueSet(9, (0, 1)), ResidueSet(9, (0, 1)))
+    assert decide_3x3(180, primitive_set(j2), primitive_set(k2)).decision is Decision.NOT_HADAMARD
+    assert decide_3x3(3, prim(3, (0, 1, 2)), prim(3, (0, 1, 2))).decision is Decision.HADAMARD
+    # more elements than C(3,2) + 1 = 4 (the old wrong-size selection)
+    with pytest.raises(ValueError, match="is not the primitive set of a 3-element selection"):
+        decide_3x3(36, PrimitiveSet((1, 2, 3, 4, 6)), prim(36, (0, 1, 2)))
+    with pytest.raises(ValueError, match="has elements not dividing m=9"):
+        decide_3x3(9, prim(27, (0, 1, 2)), prim(9, (0, 1, 2)))
+
+
+@st.composite
+def closed_form_cases(draw):
+    """(m, J, K, planted) with n = |J| = |K| in {2, 3} and m up to 10^6.
+
+    A planted draw takes n | m, r | m/n and u, w prime to n, and sets
+    J = {a + i*r*w} and K = {b + l*u*m/(n*r)}: the products j*k/m are then
+    i*l*u*w/n up to row and column phases, a Fourier matrix of order n, so
+    the pair is Hadamard.  Other draws are uniform random selections.
+    """
+    n = draw(st.sampled_from((2, 3)))
+    if draw(st.booleans()):
+        m = n * draw(st.integers(1, 10**6 // n))
+        r = draw(st.sampled_from(divisors(m // n)))
+        units = st.integers(1, 10**6).filter(lambda x: x % n)
+        u, w = draw(units), draw(units)
+        a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        j = tuple((a + i * r * w) % m for i in range(n))
+        k = tuple((b + i * u * (m // (n * r))) % m for i in range(n))
+        return m, j, k, True
+    m = draw(st.integers(n, 10**6))
+    residues = st.lists(st.integers(0, m - 1), min_size=n, max_size=n, unique=True)
+    return m, tuple(draw(residues)), tuple(draw(residues)), False
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(closed_form_cases())
+def test_closed_forms_match_exact_oracle_random(case):
+    m, j, k, planted = case
+    sp = spec(m, j, k)
+    pj, pk = primitive_set(sp.j), primitive_set(sp.k)
+    decide = decide_2x2_general if len(j) == 2 else decide_3x3
+    fast = decide(m, pj, pk).decision
+    event(f"{len(j)}x{len(j)} {fast.value}")
+    included = set(pj.without_one()) <= vanishing_set(sp.k)
+    assert (fast is Decision.HADAMARD) == included
+    assert fast is is_hadamard_exact(sp).decision
+    assert fast is Decision.HADAMARD or not planted
 
 
 def _with_primitive_set(m, size, target):

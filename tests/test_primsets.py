@@ -86,10 +86,10 @@ def test_primitive_set_properties():
 
 
 def test_size_divisor_examples():
-    assert size_divisor(ResidueSet(6000, (0, 5, 375))) == 2
-    assert size_divisor(ResidueSet(6, (0, 4))) == 3
-    assert size_divisor(ResidueSet(12, (0, 1, 6, 9))) == 12
-    assert size_divisor(ResidueSet(5, (0,))) == 1
+    assert size_divisor(primitive_set(ResidueSet(6000, (0, 5, 375)))) == 2
+    assert size_divisor(primitive_set(ResidueSet(6, (0, 4)))) == 3
+    assert size_divisor(primitive_set(ResidueSet(12, (0, 1, 6, 9)))) == 12
+    assert size_divisor(primitive_set(ResidueSet(5, (0,)))) == 1
 
 
 def test_shift_examples():

@@ -8,7 +8,7 @@ from fourier_hadamard.cli import main
 from fourier_hadamard.graphs import build_graph, classify_submatrix_size
 from fourier_hadamard.hadamard import Decision
 from fourier_hadamard.numtheory import divisors
-from fourier_hadamard.primsets import PrimitiveSet
+from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, primitive_set
 
 PLANTED = PrimitiveSet((1, 9999))
 
@@ -39,11 +39,12 @@ def test_check_disjoint_builds_each_graph_once(monkeypatch):
 def test_check_scaling_skips_unit_scale(monkeypatch):
     calls = counting(monkeypatch, sweeps)
     assert sweeps.check_scaling(6, 3, 3) is None
+    # each graph once, in the order the comparisons first need it
     expected = []
     for m in range(1, 7):
-        sizes = range(1, min(3, m) + 1)
-        expected += [(m, n) for n in sizes]
-        expected += [(v * m, n) for v in (2, 3) for n in sizes]
+        for v in (2, 3):
+            for n in range(1, min(3, m) + 1):
+                expected += [g for g in ((m, n), (v * m, n)) if g not in expected]
     assert calls == expected
 
 
@@ -65,7 +66,7 @@ def test_check_disjoint_rejects_repeated_size(monkeypatch, capsys):
         sweeps.check_disjoint([12], [2, 2])
     assert calls == []
     # sizes above m are dropped before the check
-    assert sweeps.check_disjoint([3], [2, 5, 5]) is None
+    assert sweeps.check_disjoint([4], [2, 3, 5, 5]) is None
 
     monkeypatch.undo()
     assert main(["verify", "disjoint", "-m", "12", "--n", "2,2"]) == 2
@@ -93,12 +94,14 @@ def test_classify_matches_vertex_lookup():
 
 
 def flip_one_verdict(monkeypatch, name, m, j, k):
-    """Make ``sweeps.<name>`` return the opposite decision for one pair."""
+    """Make ``sweeps.<name>`` return the opposite decision at modulus m for
+    the primitive sets of rows j and columns k."""
     original = getattr(sweeps, name)
+    key = (m, primitive_set(ResidueSet(m, j)), primitive_set(ResidueSet(m, k)))
 
-    def planted(rows, cols):
-        verdict = original(rows, cols)
-        if (rows.modulus, rows.elements, cols.elements) == (m, j, k):
+    def planted(modulus, pj, pk):
+        verdict = original(modulus, pj, pk)
+        if (modulus, pj, pk) == key:
             flipped = (
                 Decision.NOT_HADAMARD
                 if verdict.decision is Decision.HADAMARD
