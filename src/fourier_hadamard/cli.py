@@ -208,8 +208,10 @@ def cmd_verify(args) -> int:
     def run_disjoint():
         m_values = [args.m] if args.m else list(range(2, (args.m_max or 24) + 1))
         n_values = _parse_int_list(args.n) if args.n else list(range(1, args.n_max + 1))
+        bad = sweeps.check_disjoint(m_values, n_values)
+        # printed once the sweep has accepted its bounds: a refused one prints nothing
         print(f"disjoint vertex sets over m in {m_values[0]}..{m_values[-1]}, n in {n_values}")
-        return sweeps.check_disjoint(m_values, n_values)
+        return bad
 
     suite_runners = {
         "compprop": lambda: sweeps.check_compprop(

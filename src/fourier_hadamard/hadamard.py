@@ -392,6 +392,29 @@ def decide_2x2_twice_prime(m: int, pj: PrimitiveSet, pk: PrimitiveSet) -> Submat
     return SubmatrixVerdict(decision, "2by2-twice-prime", witness)
 
 
+# The oracle sweeps pair every primitive set of a modulus with every other,
+# so a whole sweep pass needs a few hundred profiles for its ~10^5
+# closed-form calls; the bound keeps the memo's size flat on any input.
+@lru_cache(maxsize=4096)
+def _adic_profile(
+    m: int, p: int, prims: PrimitiveSet
+) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, int, int]]:
+    """The p-adic profile of prims minus {1} that the p-by-p balance test
+    reads: (r, ord_r(m), max ord_r) for each prime r != p of m, ascending,
+    and (ord_p(m), min ord_p, max ord_p).
+
+    Validates prims as the primitive set of a p-element selection mod m
+    first.  lru_cache stores no exception, so invalid input raises on every
+    call; p is part of the key, so a set accepted for one size is checked
+    afresh for the other.
+    """
+    _require_primitive_sets(m, p, prims)
+    s = prims.without_one()
+    orders = dict(factorize(m))
+    others = tuple((r, e, p_adic_extremes(r, s)[1]) for r, e in orders.items() if r != p)
+    return others, (orders.get(p, 0), *p_adic_extremes(p, s))
+
+
 def _balance_verdict(
     m: int, pj: PrimitiveSet, pk: PrimitiveSet, p: int, rule: str
 ) -> SubmatrixVerdict:
@@ -400,22 +423,17 @@ def _balance_verdict(
 
     Hadamard iff, over the primitive sets minus {1}: p's minimum and maximum
     orders both sum to ord_p(m) + 1, and every other prime dividing m has
-    maximum orders summing to at most its order in m.
+    maximum orders summing to at most its order in m.  The orders of each
+    side come from ``_adic_profile``, memoized per (m, p, primitive set) with
+    at most 4096 entries, so only the first call for a set factorizes m;
+    both sets are validated on every call.
     """
-    _require_primitive_sets(m, p, pj, pk)
-    sj = pj.without_one()
-    sk = pk.without_one()
-    order = 0  # ord_p(m); stays 0 when p does not divide m
-    for r, e in factorize(m):
-        if r == p:
-            order = e
-            continue
-        hi = p_adic_extremes(r, sj)[1] + p_adic_extremes(r, sk)[1]
-        if hi > e:
-            witness = {"kind": "excess", "prime": r, "max_sum": hi, "limit": e}
+    others_j, (order, lo_j, hi_j) = _adic_profile(m, p, pj)
+    others_k, (_, lo_k, hi_k) = _adic_profile(m, p, pk)
+    for (r, e, hj), (_, _, hk) in zip(others_j, others_k):
+        if hj + hk > e:
+            witness = {"kind": "excess", "prime": r, "max_sum": hj + hk, "limit": e}
             return SubmatrixVerdict(Decision.NOT_HADAMARD, rule, witness)
-    lo_j, hi_j = p_adic_extremes(p, sj)
-    lo_k, hi_k = p_adic_extremes(p, sk)
     required = order + 1
     if not (lo_j + lo_k == hi_j + hi_k == required):
         witness = {
@@ -432,6 +450,9 @@ def _balance_verdict(
 def decide_2x2_general(m: int, pj: PrimitiveSet, pk: PrimitiveSet) -> SubmatrixVerdict:
     """2x2 test for any modulus m on primitive sets pj and pk: 2-adic orders
     must balance to ord_2(m) + 1 and no odd prime may overshoot its order in m.
+
+    Each set's orders are memoized per (m, 2, set), at most 4096 entries;
+    the sets are validated on every call.
     """
     return _balance_verdict(m, pj, pk, 2, "gen2by2")
 
@@ -439,6 +460,9 @@ def decide_2x2_general(m: int, pj: PrimitiveSet, pk: PrimitiveSet) -> SubmatrixV
 def decide_3x3(m: int, pj: PrimitiveSet, pk: PrimitiveSet) -> SubmatrixVerdict:
     """3x3 test for any modulus m on primitive sets pj and pk: 3-adic orders
     must balance to ord_3(m) + 1 and no other prime may overshoot its order.
+
+    Each set's orders are memoized per (m, 3, set), at most 4096 entries;
+    the sets are validated on every call.
     """
     return _balance_verdict(m, pj, pk, 3, "3by3")
 

@@ -243,6 +243,23 @@ def test_verify_bounds_selecting_no_case_exit_2(capsys, argv):
     assert err.startswith("error: ") and "checks nothing" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n-max", "0"],
+        ["--n-max", "1"],
+        ["-m", "12", "--n", "2,2"],
+        ["--m-max", "1"],
+    ],
+)
+def test_refused_disjoint_sweep_prints_nothing(capsys, argv):
+    # the header comes only after the sweep has accepted its bounds
+    code, out, err = run(["verify", "disjoint"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_suites(capsys):
     code, out, _ = run(["verify", "counts2q", "--q-max", "4"], capsys)
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from itertools import combinations
 from math import gcd
@@ -28,6 +29,7 @@ from fourier_hadamard.numtheory import divisors
 from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, primitive_set, shift
 from hypothesis import event, given, settings, strategies as st
 
+from closed_form_reference import balance_verdict
 from dense_reference import IntPoly, cyclotomic, poly_divides, set_polynomial
 
 
@@ -483,6 +485,102 @@ def test_closed_forms_match_exact_oracle_random(case):
     assert (fast is Decision.HADAMARD) == included
     assert fast is is_hadamard_exact(sp).decision
     assert fast is Decision.HADAMARD or not planted
+
+
+DECIDERS = {2: decide_2x2_general, 3: decide_3x3}
+
+
+def test_closed_forms_match_per_call_reference_exhaustive():
+    # every pair of primitive sets of 0-containing n-subsets, m <= 36, in two
+    # passes, upward then downward: the second pass reads profiles that were
+    # stored while the other moduli and sizes were decided
+    cases = [(n, m) for n in (2, 3) for m in range(n, 37)]
+    for n, m in cases + cases[::-1]:
+        sets = sorted(
+            {primitive_set(ResidueSet(m, (0,) + t)) for t in combinations(range(1, m), n - 1)}
+        )
+        for pj in sets:
+            for pk in sets:
+                assert DECIDERS[n](m, pj, pk) == balance_verdict(m, pj, pk, n), (m, pj, pk)
+
+
+@st.composite
+def balance_cases(draw):
+    """(n, m, J, K) for the n-by-n balance test, n in {2, 3}, m up to 10^6.
+
+    The modulus is any, prime to n, or a high power of n times a cofactor
+    prime to n.  When n divides m, half the draws plant a Hadamard pair as
+    ``closed_form_cases`` does; the others are uniform random selections.
+    """
+    n = draw(st.sampled_from((2, 3)))
+    top = 10**6
+
+    def prime_to_n(lo, hi):
+        # a multiple of the prime n moves to a neighbour in [lo, hi], which n
+        # does not divide; a filter would discard a third to a half of the draws
+        return st.integers(lo, hi).map(lambda x: x if x % n else x + 1 if x < hi else x - 1)
+
+    shape = draw(st.sampled_from(("any", "prime to n", "power of n")))
+    if shape == "any":
+        m = draw(st.integers(n, top))
+    elif shape == "prime to n":
+        m = draw(prime_to_n(n, top))
+    else:
+        a_max = 19 if n == 2 else 12  # n^a_max <= 10^6 < n^(a_max + 1)
+        a = draw(st.integers(a_max // 2, a_max))
+        m = n**a * draw(prime_to_n(1, top // n**a))
+    if m % n == 0 and draw(st.booleans()):
+        r = draw(st.sampled_from(divisors(m // n)))
+        u, w = draw(prime_to_n(1, top)), draw(prime_to_n(1, top))
+        j = tuple(i * r * w % m for i in range(n))
+        k = tuple(i * u * (m // (n * r)) % m for i in range(n))
+        return n, m, j, k
+    residues = st.lists(st.integers(0, m - 1), min_size=n, max_size=n, unique=True)
+    return n, m, tuple(draw(residues)), tuple(draw(residues))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(balance_cases(), min_size=3, max_size=3))
+def test_closed_forms_match_per_call_reference_random(cases):
+    # three moduli per draw, decided forward and then backward, so each is
+    # read again after the others have been stored
+    for n, m, j, k in cases + cases[::-1]:
+        pj, pk = primitive_set(ResidueSet(m, j)), primitive_set(ResidueSet(m, k))
+        got = DECIDERS[n](m, pj, pk)
+        event(f"{n}x{n} {got.witness['kind'] if got.witness else 'hadamard'}")
+        assert got == balance_verdict(m, pj, pk, n), (m, j, k)
+
+
+def test_closed_form_memo_never_skips_validation():
+    p15, p116, p124 = PrimitiveSet((1, 5)), PrimitiveSet((1, 16)), PrimitiveSet((1, 2, 4))
+    # each bad set below is valid at another modulus or size: store those first
+    decide_3x3(5, p15, p15)
+    decide_2x2_general(16, p116, p116)
+    decide_2x2_general(8, prim(8, (0, 1)), prim(8, (0, 1)))
+    decide_3x3(12, prim(12, (0, 1, 2)), prim(12, (0, 1, 2)))
+    decide_3x3(36, prim(36, (0, 1, 2)), prim(36, (0, 1, 2)))
+    bad_calls = [
+        (decide_3x3, 12, prim(12, (0, 1, 2)), p15, "{1,5} has elements not dividing m=12"),
+        (decide_2x2_general, 8, p116, prim(8, (0, 1)), "{1,16} has elements not dividing m=8"),
+        (
+            decide_3x3,
+            36,
+            PrimitiveSet((1, 2, 3, 4, 6)),
+            prim(36, (0, 1, 2)),
+            "{1,2,3,4,6} is not the primitive set of a 3-element selection",
+        ),
+    ]
+    for decide, m, pj, pk, message in bad_calls:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                decide(m, pj, pk)
+    # a set accepted for 3x3 is checked afresh for 2x2
+    assert decide_3x3(8, p124, p124).rule == "3by3"
+    for _ in range(2):
+        with pytest.raises(
+            ValueError, match=r"^\{1,2,4\} is not the primitive set of a 2-element selection$"
+        ):
+            decide_2x2_general(8, p124, p124)
 
 
 def _with_primitive_set(m, size, target):
