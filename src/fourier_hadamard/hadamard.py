@@ -21,12 +21,13 @@ conditions on the primitive sets.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import prod
 
-from .numtheory import divisors, factorize, p_adic_extremes
+from .numtheory import modulus_context, p_adic_extremes
 from .primsets import PrimitiveSet, ResidueSet, primitive_set, size_divisor
 
 __all__ = [
@@ -48,6 +49,10 @@ __all__ = [
     "decide_2x2_general",
     "decide_3x3",
 ]
+
+
+# find_complement keeps one flag per residue (8 MB at this bound)
+MAX_COMPLEMENT_MODULUS = 10**6
 
 
 class Decision(Enum):
@@ -114,9 +119,11 @@ class SubmatrixVerdict:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_divides(s: int, exponents: tuple[int, ...]) -> bool:
+def _cyclotomic_divides(s: int, exponents: tuple[int, ...], primes: tuple[int, ...]) -> bool:
     """Whether the s-th cyclotomic polynomial divides the sum of z^e over
     the exponents, that is whether the sum vanishes at zeta_s = e^(2*pi*i/s).
+    primes are the distinct primes of s, ascending; callers read them from
+    the context of a modulus s divides, so s itself is never factorized.
 
     Exponents may exceed s, come in any order and repeat; a repeated
     exponent counts once per occurrence.  With r = rad(s) and t = s/r,
@@ -124,10 +131,9 @@ def _cyclotomic_divides(s: int, exponents: tuple[int, ...]) -> bool:
     Q(zeta_s) over Q(zeta_r), so the sum vanishes iff, in every class of
     exponents mod t, the terms zeta_r^(e div t) add up to 0 (e div t need
     not be below r: the split by primes reduces it).  No polynomial
-    is built; past factorizing s, the cost depends on the number of
-    exponents and of primes of s, not on s.
+    is built; the cost depends on the number of exponents and of primes of
+    s, not on s.
     """
-    primes = [p for p, _ in factorize(s)]
     t = s // prod(primes)
     classes: dict[int, dict[int, int]] = {}
     for e in exponents:
@@ -136,7 +142,7 @@ def _cyclotomic_divides(s: int, exponents: tuple[int, ...]) -> bool:
     return all(_root_sum_vanishes(terms, primes) for terms in classes.values())
 
 
-def _root_sum_vanishes(terms: dict[int, int], primes: list[int]) -> bool:
+def _root_sum_vanishes(terms: dict[int, int], primes: tuple[int, ...]) -> bool:
     """Whether the sum of c * zeta_r^a over the terms {a: c} is 0, for r the
     product of the distinct primes given (r = 1: the sum of the c).
 
@@ -152,7 +158,7 @@ def _root_sum_vanishes(terms: dict[int, int], primes: list[int]) -> bool:
     """
     if not primes:
         return sum(terms.values()) == 0
-    *rest, p = primes
+    rest, p = primes[:-1], primes[-1]
     q = prod(rest)
     groups: dict[int, dict[int, int]] = {}
     for a, c in terms.items():
@@ -179,10 +185,14 @@ def vanishing_set(k: ResidueSet) -> frozenset[int]:
     This is the exact oracle in set form: with P(J) the primitive set of a
     row set of the same size, H_(J,K) is Hadamard iff P(J) minus {1} is a
     subset of Z(K).  Computing Z(K) once lets every row set be tested
-    against K by one set inclusion.
+    against K by one set inclusion.  The divisors of m and their primes come
+    from m's context.
     """
+    ctx = modulus_context(k.modulus)
     return frozenset(
-        s for s in divisors(k.modulus)[1:] if _cyclotomic_divides(s, k.elements)
+        s
+        for s in ctx.divisors[1:]
+        if _cyclotomic_divides(s, k.elements, ctx.primes_of(s))
     )
 
 
@@ -191,12 +201,13 @@ def is_hadamard_exact(spec: SubmatrixSpec) -> SubmatrixVerdict:
     column polynomial for every s > 1 in the primitive set of the rows.
 
     Each divisibility is the sparse vanishing test on K's exponents: no
-    polynomial is built, and apart from factorizing s the cost does not
-    grow with m.  Never inconclusive.  On failure the witness carries the first s whose
-    cyclotomic does not divide K(z).
+    polynomial is built, and apart from factorizing m once per context
+    the cost does not grow with m.  Never inconclusive.  On failure the
+    witness carries the first s whose cyclotomic does not divide K(z).
     """
+    ctx = modulus_context(spec.m)
     for s in primitive_set(spec.j).without_one():
-        if not _cyclotomic_divides(s, spec.k.elements):
+        if not _cyclotomic_divides(s, spec.k.elements, ctx.primes_of(s)):
             return SubmatrixVerdict(
                 Decision.NOT_HADAMARD,
                 "exact",
@@ -251,9 +262,10 @@ def screen_prime_powers(m: int, prims: PrimitiveSet) -> Screen:
     """
     if any(m % s for s in prims):
         raise ValueError(f"{prims} has elements not dividing m={m}")
-    prime_powers = [p**t for p, e in factorize(m) for t in range(1, e + 1)]
+    ctx = modulus_context(m)
+    prime_powers = [p**t for p, e in ctx.factorization for t in range(1, e + 1)]
     if all(q in prims for q in prime_powers) and any(
-        d not in prims for d in divisors(m)
+        d not in prims for d in ctx.divisors
     ):
         return Screen.RULED_OUT
     return Screen.INCONCLUSIVE
@@ -290,8 +302,9 @@ def certify_by_complement(j: ResidueSet, k: ResidueSet, a) -> Decision:
             seen[(ke + ae) % m] += 1
     if any(count != 1 for count in seen):
         raise ValueError("k + a is not a complete residue system mod m")
+    ctx = modulus_context(m)
     for s in primitive_set(j).without_one():
-        if _cyclotomic_divides(s, a_elems):
+        if _cyclotomic_divides(s, a_elems, ctx.primes_of(s)):
             return Decision.INCONCLUSIVE
     return Decision.HADAMARD
 
@@ -305,25 +318,36 @@ def find_complement(k: ResidueSet) -> set[int] | None:
     deterministic.  The search keeps an explicit stack, so its depth m/|k|
     is not bounded by the interpreter's recursion limit.  Returns None when
     |k| does not divide m or no complement exists; absence is a normal
-    outcome.
+    outcome.  It keeps one flag per residue, so an m above
+    MAX_COMPLEMENT_MODULUS raises ValueError before anything is allocated.
     """
     m = k.modulus
+    if m > MAX_COMPLEMENT_MODULUS:
+        raise ValueError(
+            f"find_complement keeps one flag per residue; m = {m} exceeds "
+            f"the limit of {MAX_COMPLEMENT_MODULUS}"
+        )
     if m % len(k):
         return None
     covered = [False] * m
     chosen: list[int] = []
 
-    def candidates() -> list[int]:
-        r = covered.index(False)
-        return sorted({(r - ke) % m for ke in k.elements})
+    def level(start: int) -> tuple[int, Iterator[int]]:
+        # the smallest uncovered residue, found from start on, and the
+        # candidates that cover it
+        r = covered.index(False, start)
+        return r, iter(sorted({(r - ke) % m for ke in k.elements}))
 
     def cells(a: int) -> list[int]:
         return [(ke + a) % m for ke in k.elements]
 
-    # one iterator over the untried candidates per level of the search
-    stack = [iter(candidates())]
+    # one (target, untried candidates) per level of the search; every
+    # residue below a level's target is covered, so the next level's
+    # search starts past it
+    stack = [level(0)]
     while stack:
-        for a in stack[-1]:
+        r, untried = stack[-1]
+        for a in untried:
             new = cells(a)
             if not any(covered[c] for c in new):
                 break
@@ -339,7 +363,7 @@ def find_complement(k: ResidueSet) -> set[int] | None:
         # every choice covers |k| fresh residues
         if len(chosen) * len(k) == m:
             return set(chosen)
-        stack.append(iter(candidates()))
+        stack.append(level(r + 1))
     return None
 
 
@@ -381,7 +405,7 @@ def decide_2x2_twice_prime(m: int, pj: PrimitiveSet, pk: PrimitiveSet) -> Submat
     pairings are ({1,2},{1,2}) and {1,2} with {1,2p} in either order.
     """
     p = m // 2
-    if m % 2 or p < 3 or factorize(p) != [(p, 1)]:
+    if m % 2 or p < 3 or modulus_context(m).factorization != ((2, 1), (p, 1)):
         raise ValueError(f"{m} is not twice an odd prime")
     _require_primitive_sets(m, 2, pj, pk)
     two = PrimitiveSet((1, 2))
@@ -401,7 +425,8 @@ def _adic_profile(
 ) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, int, int]]:
     """The p-adic profile of prims minus {1} that the p-by-p balance test
     reads: (r, ord_r(m), max ord_r) for each prime r != p of m, ascending,
-    and (ord_p(m), min ord_p, max ord_p).
+    and (ord_p(m), min ord_p, max ord_p).  m's factorization comes from its
+    context, so a miss for a new set does not factorize m again.
 
     Validates prims as the primitive set of a p-element selection mod m
     first.  lru_cache stores no exception, so invalid input raises on every
@@ -410,7 +435,7 @@ def _adic_profile(
     """
     _require_primitive_sets(m, p, prims)
     s = prims.without_one()
-    orders = dict(factorize(m))
+    orders = dict(modulus_context(m).factorization)
     others = tuple((r, e, p_adic_extremes(r, s)[1]) for r, e in orders.items() if r != p)
     return others, (orders.get(p, 0), *p_adic_extremes(p, s))
 
@@ -425,7 +450,7 @@ def _balance_verdict(
     orders both sum to ord_p(m) + 1, and every other prime dividing m has
     maximum orders summing to at most its order in m.  The orders of each
     side come from ``_adic_profile``, memoized per (m, p, primitive set) with
-    at most 4096 entries, so only the first call for a set factorizes m;
+    at most 4096 entries, which reads m's factorization from m's context;
     both sets are validated on every call.
     """
     others_j, (order, lo_j, hi_j) = _adic_profile(m, p, pj)

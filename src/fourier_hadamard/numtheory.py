@@ -1,15 +1,17 @@
 """Exact elementary number theory over plain Python integers.
 
 Factorization, divisor lists, p-adic orders, and the value of a cyclotomic
-polynomial at 1.  Everything stays in arbitrary-precision integer
-arithmetic; no floating point enters any decision made downstream.  No
-polynomial is ever built: whether a cyclotomic polynomial divides a column
-polynomial is decided from the exponents alone, in ``hadamard``.
+polynomial at 1, plus one memoized context per modulus that computes each
+of these facts about m at most once.  Everything stays in
+arbitrary-precision integer arithmetic; no floating point enters any
+decision made downstream.  No polynomial is ever built: whether a
+cyclotomic polynomial divides a column polynomial is decided from the
+exponents alone, in ``hadamard``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 __all__ = [
@@ -19,6 +21,8 @@ __all__ = [
     "p_adic_order",
     "p_adic_extremes",
     "cyclotomic_at_one",
+    "ModulusContext",
+    "modulus_context",
 ]
 
 
@@ -53,11 +57,9 @@ def factorize(m: int) -> list[tuple[int, int]]:
 
 
 def divisors(m: int) -> list[int]:
-    """All positive divisors of m, ascending."""
-    divs = [1]
-    for p, e in factorize(m):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    """All positive divisors of m, ascending; m is factorized once per
+    context (see ``modulus_context``)."""
+    return list(modulus_context(m).divisors)
 
 
 # p_adic_extremes checks primality on every call, usually for the same few
@@ -109,8 +111,71 @@ def cyclotomic_at_one(s: int) -> int:
         raise ValueError(f"cyclotomic index must be positive, got {s}")
     if s == 1:
         return 0
-    facts = factorize(s)
-    if len(facts) == 1:
-        return facts[0][0]
-    return 1
+    primes = modulus_context(s).primes
+    return primes[0] if len(primes) == 1 else 1
+
+
+class ModulusContext:
+    """What the package computes about one modulus m, each part on first use.
+
+    - ``bit`` indexes the divisors g of m that occur as gcd(m, d) of a
+      difference d, one bit each in order of first appearance; ``orders``
+      lists m // g, the order the bit stands for, in bit order.  A set of
+      such orders is then one int, its mask.
+    - ``interned`` maps a mask to the one object that stands for that set
+      of orders; ``primsets.primitive_set`` fills it with primitive sets.
+    - ``factorization``, ``primes`` and ``divisors`` are factorized from m
+      the first time any of them is read, and never before, so work that
+      needs only the bit index (primitive sets) never factorizes m.
+
+    Memory is O(divisors of m + distinct sets interned).
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self.bit: dict[int, int] = {}
+        self.orders: list[int] = []
+        self.interned: dict[int, object] = {}
+        self._primes_of: dict[int, tuple[int, ...]] = {}
+
+    def add_bit(self, g: int) -> int:
+        """The bit of the divisor g = gcd(m, d), assigning the next free one
+        on first sight."""
+        bit = self.bit[g] = 1 << len(self.orders)
+        self.orders.append(self.m // g)
+        return bit
+
+    def orders_of(self, mask: int) -> list[int]:
+        """The orders m // g whose bits are set in mask, in bit order."""
+        return [s for i, s in enumerate(self.orders) if mask >> i & 1]
+
+    @cached_property
+    def factorization(self) -> tuple[tuple[int, int], ...]:
+        return tuple(factorize(self.m))
+
+    @cached_property
+    def primes(self) -> tuple[int, ...]:
+        return tuple(p for p, _ in self.factorization)
+
+    @cached_property
+    def divisors(self) -> tuple[int, ...]:
+        divs = [1]
+        for p, e in self.factorization:
+            divs = [d * p**k for d in divs for k in range(e + 1)]
+        return tuple(sorted(divs))
+
+    def primes_of(self, s: int) -> tuple[int, ...]:
+        """The primes of a divisor s of m, ascending, from m's primes."""
+        primes = self._primes_of.get(s)
+        if primes is None:
+            primes = self._primes_of[s] = tuple(p for p in self.primes if s % p == 0)
+        return primes
+
+
+# Sweeps visit a few thousand moduli, and a context costs a few dicts plus
+# what it has computed; the bound keeps the memo's size flat on any input.
+@lru_cache(maxsize=1024)
+def modulus_context(m: int) -> ModulusContext:
+    """The shared context of the modulus m, built on first use."""
+    return ModulusContext(m)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
 
-from .numtheory import cyclotomic_at_one
+from .numtheory import cyclotomic_at_one, modulus_context
 
 __all__ = [
     "ResidueSet",
@@ -54,52 +54,37 @@ class ResidueSet:
         return "{" + ",".join(map(str, self.elements)) + "}"
 
 
-class PrimitiveSet:
+class PrimitiveSet(tuple):
     """A sorted set of positive integers that always contains 1.
 
-    Equality and hashing are plain set semantics, so primitive sets computed
-    under different moduli compare directly; the modulus is context carried
-    by the residue set they came from, not state stored here.
+    A tuple of its elements: hashing, equality, ordering, ``len``, ``in``
+    and iteration are the tuple's, so ``PrimitiveSet((1, 2)) == (1, 2)``,
+    and primitive sets computed under different moduli compare directly.
+    The modulus is context carried by the residue set they came from, not
+    state stored here.
     """
 
-    __slots__ = ("elements",)
+    __slots__ = ()
 
-    def __init__(self, elements):
+    def __new__(cls, elements):
         elems = tuple(sorted(set(elements)))
         if not elems or elems[0] < 1:
             raise ValueError("primitive set elements must be positive integers")
         if elems[0] != 1:
             raise ValueError("a primitive set always contains 1")
-        self.elements = elems
+        return super().__new__(cls, elems)
+
+    # a plain tuple, so that witness dicts print the elements, not the class
+    elements = property(tuple)
 
     def without_one(self) -> tuple[int, ...]:
-        return self.elements[1:]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, item) -> bool:
-        return item in self.elements
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PrimitiveSet):
-            return self.elements == other.elements
-        return NotImplemented
-
-    def __lt__(self, other: "PrimitiveSet") -> bool:
-        return self.elements < other.elements
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
+        return self[1:]
 
     def __str__(self) -> str:
-        return "{" + ",".join(map(str, self.elements)) + "}"
+        return "{" + ",".join(map(str, self)) + "}"
 
     def __repr__(self) -> str:
-        return f"PrimitiveSet({list(self.elements)!r})"
+        return f"PrimitiveSet({list(self)!r})"
 
 
 def difference_set(x: ResidueSet) -> set[int]:
@@ -115,13 +100,24 @@ def primitive_set(x: ResidueSet) -> PrimitiveSet:
     """The set {m / gcd(m, d)} over the differences d of x; always contains 1.
 
     Every element divides the modulus of x.  Negated differences give the
-    same gcd, so only one sign per pair is consulted.
+    same gcd, so only one sign per pair is consulted.  The orders are ORed
+    into a mask over the divisor bits of m's context, and the context
+    interns one PrimitiveSet per mask: equal primitive sets of one modulus
+    are one object, and m is never factorized.
     """
     m = x.modulus
-    prims = {1}
+    ctx = modulus_context(m)
+    bit = ctx.bit
+    # 1 is in every primitive set and never the order of a difference of
+    # two residues, so it has no bit: the empty mask stands for {1}
+    mask = 0
     for a, b in combinations(x.elements, 2):
-        prims.add(m // gcd(m, b - a))
-    return PrimitiveSet(prims)
+        g = gcd(m, b - a)
+        mask |= bit.get(g) or ctx.add_bit(g)
+    prims = ctx.interned.get(mask)
+    if prims is None:
+        prims = ctx.interned[mask] = PrimitiveSet([1, *ctx.orders_of(mask)])
+    return prims
 
 
 def size_divisor(prims: PrimitiveSet) -> int:

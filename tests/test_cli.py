@@ -34,6 +34,15 @@ def test_primset_json(capsys):
     assert doc["prime_power_screen"] == "ruled-out"
 
 
+def test_primset_factorizes_the_modulus_once(capsys, factorize_calls):
+    # the prime-power screen and both size-divisor reads share m's context
+    m = 999_999_999_989
+    code, out, _ = run(["primset", "-m", str(m), "0,1,2,3"], capsys)
+    assert code == 0
+    assert f"P(X) = {{1,{m}}}" in out and f"size divisor C = {m}" in out
+    assert factorize_calls == [m]
+
+
 def test_primset_trivial(capsys):
     code, out, _ = run(["primset", "-m", "5", "0"], capsys)
     assert code == 0

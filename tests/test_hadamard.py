@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from fourier_hadamard.hadamard import (
+    MAX_COMPLEMENT_MODULUS,
     _cyclotomic_divides,
     Decision,
     Screen,
@@ -25,7 +26,7 @@ from fourier_hadamard.hadamard import (
     decide_2x2_twice_prime,
     decide_3x3,
 )
-from fourier_hadamard.numtheory import divisors
+from fourier_hadamard.numtheory import divisors, factorize
 from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, primitive_set, shift
 from hypothesis import event, given, settings, strategies as st
 
@@ -35,6 +36,13 @@ from dense_reference import IntPoly, cyclotomic, poly_divides, set_polynomial
 
 def spec(m, j, k):
     return SubmatrixSpec.of(m, j, k)
+
+
+def sparse(s, exponents):
+    """The undecorated sparse vanishing test, so that the memo plays no
+    part, with the primes of s found by factorizing s."""
+    primes = tuple(p for p, _ in factorize(s))
+    return _cyclotomic_divides.__wrapped__(s, exponents, primes)
 
 
 def test_set_polynomial():
@@ -112,7 +120,6 @@ def test_vanishing_set_inclusion_matches_exact_oracle(selection):
 def test_sparse_vanishing_matches_dense_exhaustive():
     # every m <= 30, every s | m and every 0-containing K with |K| <= 4,
     # through the undecorated test so that the memo plays no part
-    sparse = _cyclotomic_divides.__wrapped__
     cases = 0
     for m in range(1, 31):
         ks = [(0,) + t for size in range(4) for t in combinations(range(1, m), size)]
@@ -128,7 +135,6 @@ def test_sparse_vanishing_matches_dense_exhaustive():
 def test_sparse_vanishing_counts_repeated_exponents():
     # 1 + zeta + zeta^2 + zeta^3 = zeta^3 = 1 at a primitive cube root of
     # unity: the exponents 0 and 3 fall in one class mod 3 and count twice
-    sparse = _cyclotomic_divides.__wrapped__
     assert not sparse(3, (0, 1, 2, 3))
     assert not poly_divides(cyclotomic(3), set_polynomial((0, 1, 2, 3)))
     assert sparse(3, (0, 1, 2)) and sparse(3, (3, 4, 8))
@@ -163,7 +169,7 @@ def vanishing_cases(draw):
 def test_sparse_vanishing_matches_dense_random(case):
     s, exponents = case
     expected = poly_divides(cyclotomic(s), set_polynomial(exponents))
-    assert _cyclotomic_divides.__wrapped__(s, exponents) == expected
+    assert sparse(s, exponents) == expected
 
 
 @pytest.mark.parametrize("m", [55_440, 720_720, 10**12])
@@ -175,6 +181,15 @@ def test_exact_oracle_large_modulus(m):
     sp = spec(m, (0, 1, 2, 3), (0, q, 2 * q, 3 * q))
     assert is_hadamard_exact(sp).decision is Decision.HADAMARD
     assert vanishing_set(sp.k) == {s for s in divisors(m) if q % s}
+
+
+def test_exact_oracle_factorizes_the_modulus_once(factorize_calls):
+    m = 999_999_999_989  # prime
+    q = spec(m, (0, 1, 2, 3), (0, 1, 2, 3))
+    assert is_hadamard_exact(q).witness == {"kind": "cyclotomic", "s": m}
+    assert is_hadamard_exact(spec(m, (0, 5, 7, 11), (0, 2, 3, 4))).decision is Decision.NOT_HADAMARD
+    assert vanishing_set(q.k) == frozenset()
+    assert factorize_calls == [m]
 
 
 def test_exact_oracle_battery():
@@ -333,6 +348,15 @@ def test_find_complement():
     assert find_complement(ResidueSet(4, (0, 1, 3))) is None  # 3 does not divide 4
     # {0,3} mod 6: adding a covers {a, a+3}; {0,1,2} works
     assert find_complement(ResidueSet(6, (0, 3))) == {0, 1, 2}
+
+
+def test_find_complement_refuses_huge_modulus():
+    # one flag per residue: 10^12 of them would exhaust memory
+    limit = MAX_COMPLEMENT_MODULUS
+    for m in (limit + 1, 10**12):
+        with pytest.raises(ValueError, match=f"^find_complement keeps one flag per residue; "
+                           f"m = {m} exceeds the limit of {limit}$"):
+            find_complement(ResidueSet(m, (0, 1)))
 
 
 def test_find_complement_deep_search():

@@ -1,8 +1,12 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fourier_hadamard import numtheory
+from fourier_hadamard.numtheory import modulus_context
 from fourier_hadamard.primsets import (
     PrimitiveSet,
     ResidueSet,
@@ -14,6 +18,8 @@ from fourier_hadamard.primsets import (
     size_divisor,
 )
 from fourier_hadamard.sweeps import compprop_violation
+
+import primitive_set_reference as reference
 
 
 def random_residue_set(rng, m_max=200, size_max=6):
@@ -42,12 +48,22 @@ def test_primitive_set_validation():
     p = PrimitiveSet([2, 1, 2])
     assert p.elements == (1, 2)
     assert p.without_one() == (2,)
-    with pytest.raises(ValueError):
-        PrimitiveSet([2, 4])  # no 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a primitive set always contains 1$"):
+        PrimitiveSet([2, 4])
+    with pytest.raises(ValueError, match="^primitive set elements must be positive integers$"):
         PrimitiveSet([0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^primitive set elements must be positive integers$"):
         PrimitiveSet([])
+
+
+def test_primitive_set_is_a_tuple():
+    p = PrimitiveSet((4, 1, 2))
+    assert p == (1, 2, 4) and hash(p) == hash((1, 2, 4))
+    assert isinstance(p, tuple) and len(p) == 3 and 4 in p and list(p) == [1, 2, 4]
+    assert PrimitiveSet((1, 2)) < p < PrimitiveSet((1, 3))
+    # plain tuples out, so witnesses and exports print as they always did
+    assert type(p.elements) is tuple and type(p.without_one()) is tuple
+    assert str(p) == "{1,2,4}" and repr(p) == "PrimitiveSet([1, 2, 4])"
 
 
 def test_difference_set_examples():
@@ -161,3 +177,77 @@ def test_compprop_small_exhaustive():
                 continue
             for elems in combinations(range(m), size):
                 assert compprop_violation(ResidueSet(m, elems)) is None
+
+
+def assert_matches_reference(xs):
+    """primitive_set on the residue sets xs, all of one modulus, agrees with
+    the per-call reference in elements, printing, hashing, equality and
+    order, and equal sets are one interned object."""
+    got = [primitive_set(x) for x in xs]
+    ref = [reference.primitive_set(x) for x in xs]
+    objects = {}
+    for x, g, r in zip(xs, got, ref):
+        assert g.elements == r.elements, x
+        assert (str(g), repr(g), hash(g)) == (str(r), repr(r), hash(r)), x
+        assert objects.setdefault(r, g) is g, x
+    assert len(set(got)) == len(objects)
+    assert [g.elements for g in sorted(set(got))] == [r.elements for r in sorted(objects)]
+
+
+def test_primitive_set_matches_reference_exhaustive():
+    # every subset for m <= 16, then every 0-containing subset of size at
+    # most 4 for m <= 40
+    for m in range(1, 17):
+        assert_matches_reference(
+            [ResidueSet(m, t) for n in range(1, m + 1) for t in combinations(range(m), n)]
+        )
+    for m in range(17, 41):
+        assert_matches_reference(
+            [ResidueSet(m, (0,) + t) for n in range(4) for t in combinations(range(1, m), n)]
+        )
+
+
+@st.composite
+def selections_of_one_modulus(draw):
+    """Up to four selections of at most 8 residues for one modulus up to
+    10^18: any modulus, or a product of small prime powers, which has many
+    divisors and so many distinct orders."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 10**18))
+    else:
+        m = 1
+        for p in (2, 3, 5, 7, 11, 13):
+            m *= p ** draw(st.integers(0, 6))
+    n_max = min(8, m)
+    sizes = st.integers(1, n_max)
+    return [
+        ResidueSet(m, tuple(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n, unique=True))))
+        for n in draw(st.lists(sizes, min_size=1, max_size=4))
+    ]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(selections_of_one_modulus())
+def test_primitive_set_matches_reference_random(xs):
+    assert_matches_reference(xs)
+
+
+def test_primitive_set_never_factorizes(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"factorize({m}) called")
+
+    monkeypatch.setattr(numtheory, "factorize", refuse)
+    modulus_context.cache_clear()
+    m = 2**89 - 1  # prime: trial division would never finish
+    start = time.perf_counter()
+    p = primitive_set(ResidueSet(m, (0, 1, 5)))
+    assert time.perf_counter() - start < 1
+    assert p == PrimitiveSet((1, m))
+
+
+def test_modulus_memo_is_bounded():
+    bound = modulus_context.cache_info().maxsize
+    assert bound is not None
+    for m in range(2, bound + 100):
+        primitive_set(ResidueSet(m, (0, 1)))
+    assert modulus_context.cache_info().currsize <= bound
