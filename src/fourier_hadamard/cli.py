@@ -44,14 +44,18 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 
-def _parse_elements(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str) -> list[int]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
+
+
+def _parse_elements(text: str) -> tuple[int, ...]:
+    values = _parse_int_list(text)
     if len(set(values)) != len(values):
         raise ValueError(f"duplicate elements in {text!r}")
-    return values
+    return tuple(values)
 
 
 def _fmt_set(values) -> str:
@@ -184,10 +188,6 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",")]
-
-
 def nonnegative_int(text: str) -> int:
     # a negative sweep bound would check nothing and still report a pass
     value = int(text)
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--oracle", choices=("auto", "exact", "numeric", "both"), default="auto"
     )
-    p_test.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    p_test.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance, > 0 and finite")
     p_test.add_argument("--format", choices=("human", "json"), default="human")
     p_test.set_defaults(func=cmd_test)
 

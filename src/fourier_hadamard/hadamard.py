@@ -21,11 +21,13 @@ conditions on the primitive sets.
 
 from __future__ import annotations
 
+import cmath
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import prod
+from math import inf, prod
+from operator import mul
 
 from .numtheory import modulus_context, p_adic_extremes
 from .primsets import PrimitiveSet, ResidueSet, primitive_set, size_divisor
@@ -118,7 +120,8 @@ class SubmatrixVerdict:
             raise ValueError(f"unknown rule {self.rule!r}")
 
 
-@lru_cache(maxsize=None)
+# bounded so long-lived processes stay flat; `fhad verify all` fills ~11k of it
+@lru_cache(maxsize=1 << 14)
 def _cyclotomic_divides(s: int, exponents: tuple[int, ...], primes: tuple[int, ...]) -> bool:
     """Whether the s-th cyclotomic polynomial divides the sum of z^e over
     the exponents, that is whether the sum vanishes at zeta_s = e^(2*pi*i/s).
@@ -217,26 +220,23 @@ def is_hadamard_exact(spec: SubmatrixSpec) -> SubmatrixVerdict:
 
 
 def is_hadamard_numeric(spec: SubmatrixSpec, tol: float = 1e-9) -> SubmatrixVerdict:
-    """Floating-point cross-check: build the complex submatrix and test
-    whether H*H equals n times the identity to within tol (max norm).
+    """Floating-point cross-check: whether H*H, which is Hermitian, is within
+    a finite tol > 0 of n times the identity in max norm on its upper triangle.
 
     Exists only to validate the exact oracle from an independent direction.
     """
-    # imported here, the only user, so that starting the CLI skips numpy
-    import numpy as np
-
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     n = len(spec.j)
     m = spec.m
-    # j*k mod m in Python integers: an int64 product wraps once it passes 2^63
-    phases = np.array(
-        [[a * b % m for b in spec.k.elements] for a in spec.j.elements],
-        dtype=np.float64,
-    )
-    h = np.exp(2j * np.pi * phases / m)
-    gram = h.conj().T @ h
-    dev = float(np.abs(gram - n * np.eye(n)).max())
+    # j*k mod m in Python integers, so the phase is exact before it is a float
+    columns = [[cmath.exp(2j * cmath.pi * (a * b % m) / m) for a in spec.j.elements]
+               for b in spec.k.elements]
+    dev = 0.0
+    for p, col in enumerate(columns):
+        conj = [z.conjugate() for z in col]
+        for q in range(p, n):
+            dev = max(dev, abs(sum(map(mul, conj, columns[q])) - (n if q == p else 0)))
     decision = Decision.HADAMARD if dev < tol else Decision.NOT_HADAMARD
     return SubmatrixVerdict(decision, "numeric", {"kind": "gram", "deviation": dev})
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -100,6 +101,13 @@ def test_test_command_usage(capsys):
         "error: row set has 2 elements but column set has 3; "
         "Hadamard submatrices are square\n"
     )
+    # a tolerance that no deviation is below, or that every one is, is a
+    # usage error and not an oracle disagreement (exit 3)
+    base = ["test", "-m", "10", "-J", "0,1,7,8,9", "-K", "0,2,4,6,8", "--oracle", "both"]
+    for tol in ("nan", "inf"):
+        code, out, err = run(base + ["--tol", tol], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: tolerance must be positive and finite, got {tol}\n"
 
 
 def test_graph_command(capsys, tmp_path):
@@ -259,6 +267,7 @@ def test_verify_bounds_selecting_no_case_exit_2(capsys, argv):
         ["--n-max", "1"],
         ["-m", "12", "--n", "2,2"],
         ["--m-max", "1"],
+        ["--n", "2,x"],
     ],
 )
 def test_refused_disjoint_sweep_prints_nothing(capsys, argv):
@@ -332,14 +341,30 @@ def test_classify_command(capsys):
 def test_classify_usage(capsys):
     code, _, err = run(["classify", "1,3", "--m", ""], capsys)
     assert code == 2
+    code, out, err = run(["classify", "1,3", "--m", "12,x"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: expected comma-separated integers, got '12,x'\n"
 
 
-def test_cli_import_does_not_load_numpy():
+def test_package_loads_only_the_standard_library():
+    # against a snapshot, because site may already have loaded .pth modules
+    probe = textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        from fourier_hadamard import cli
+        from fourier_hadamard.hadamard import (
+            SubmatrixSpec, is_hadamard, is_hadamard_exact, is_hadamard_numeric,
+        )
+        spec = SubmatrixSpec.of(10, (0, 1, 7, 8, 9), (0, 2, 4, 6, 8))
+        for oracle in (is_hadamard, is_hadamard_exact, is_hadamard_numeric):
+            assert oracle(spec).decision.value == "hadamard"
+        added = {name.partition(".")[0] for name in set(sys.modules) - before}
+        print(sorted(added - set(sys.stdlib_module_names) - {"fourier_hadamard"}))
+    """)
     src = os.path.dirname(os.path.dirname(fourier_hadamard.__file__))
-    probe = "import sys, fourier_hadamard.cli; print('numpy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

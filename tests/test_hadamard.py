@@ -142,6 +142,15 @@ def test_sparse_vanishing_counts_repeated_exponents():
     assert not sparse(1, (0,)) and sparse(1, ())
 
 
+def test_vanishing_memo_is_bounded():
+    bound = _cyclotomic_divides.cache_info().maxsize
+    assert bound is not None
+    # 1 + z^e vanishes at z = -1 iff e is odd; every key is distinct
+    for e in range(bound + 100):
+        assert _cyclotomic_divides(2, (0, e), (2,)) is (e % 2 == 1)
+    assert _cyclotomic_divides.cache_info().currsize <= bound
+
+
 @st.composite
 def vanishing_cases(draw):
     m = draw(st.integers(2, 2520))
@@ -234,10 +243,9 @@ def test_numeric_oracle():
     assert is_hadamard_numeric(spec(10, (0, 1, 7, 8, 9), (0, 2, 4, 6, 8))).decision is Decision.HADAMARD
     assert is_hadamard_numeric(spec(6, (0, 4), (0, 1))).decision is Decision.NOT_HADAMARD
     assert is_hadamard_numeric(spec(3, (1,), (2,))).decision is Decision.HADAMARD
-    with pytest.raises(ValueError):
-        is_hadamard_numeric(spec(4, (0, 2), (0, 1)), tol=0.0)
-    with pytest.raises(ValueError):
-        is_hadamard_numeric(spec(4, (0, 2), (0, 1)), tol=-1e-9)
+    for tol in (0.0, -1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            is_hadamard_numeric(spec(4, (0, 2), (0, 1)), tol=tol)
 
 
 def test_numeric_oracle_large_modulus():

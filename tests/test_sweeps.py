@@ -71,6 +71,8 @@ def test_check_disjoint_rejects_repeated_size(monkeypatch, capsys):
     monkeypatch.undo()
     assert main(["verify", "disjoint", "-m", "12", "--n", "2,2"]) == 2
     assert "error: sizes must differ" in capsys.readouterr().err
+    assert main(["verify", "disjoint", "-m", "12", "--n", "2,x"]) == 2
+    assert "error: expected comma-separated integers, got '2,x'" in capsys.readouterr().err
 
 
 def test_classify_builds_only_admissible_sizes(monkeypatch):
