@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import inf
 from pathlib import Path
 
 from .graphs import (
@@ -124,6 +125,9 @@ def cmd_primset(args) -> int:
 
 
 def cmd_test(args) -> int:
+    # checked for every oracle, not only when the numeric one runs
+    if not 0 < args.tol < inf:
+        raise ValueError(f"tolerance must be positive and finite, got {args.tol}")
     j = ResidueSet(args.m, _parse_elements(args.rows))
     k = ResidueSet(args.m, _parse_elements(args.columns))
     spec = SubmatrixSpec(args.m, j, k)
@@ -206,7 +210,7 @@ def cmd_verify(args) -> int:
         return bad
 
     def run_disjoint():
-        m_values = [args.m] if args.m else list(range(2, (args.m_max or 24) + 1))
+        m_values = [args.m] if args.m is not None else list(range(2, (args.m_max or 24) + 1))
         n_values = _parse_int_list(args.n) if args.n else list(range(1, args.n_max + 1))
         bad = sweeps.check_disjoint(m_values, n_values)
         # printed once the sweep has accepted its bounds: a refused one prints nothing

@@ -4,16 +4,19 @@ Each sweep returns None on a clean pass or a dict describing the first
 counterexample found; bounds that select no case raise ValueError, so a
 sweep that checks nothing never passes.  The CLI runs them behind the
 ``verify`` subcommand; the test suite asserts they come back clean.  The
-oracle sweeps compute P(x) and Z(x) once per subset and modulus, pass the
-primitive sets to the closed form and decide the exact side of every pair
-by one set inclusion, P(J) minus {1} within Z(K).  The vertex-set checks
-(disjointness across sizes, containment under scaling) live here and build
-each graph they compare once per call.
+oracle sweeps compute P(x) and Z(x) once per subset and modulus and group
+the subsets into classes by that pair.  The closed form reads only the
+primitive sets, and the exact verdict only the inclusion of P(J) minus {1}
+in Z(K), so each class pair is decided once, by both sides, and stands for
+all of its subset pairs.  The vertex-set checks (disjointness across sizes,
+containment under scaling) live here and build each graph they compare
+once per call.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 
@@ -63,25 +66,36 @@ def _oracle_equivalence(m_max: int, n: int, fast_test) -> dict | None:
     if m_max < n:
         raise ValueError(f"oracle{n} checks nothing for m_max = {m_max}")
     for m in range(n, m_max + 1):
-        # each 0-containing subset with P(x) and Z(x), computed once per m
-        rows = [
-            (x, primitive_set(x), vanishing_set(x))
-            for x in (ResidueSet(m, (0,) + t) for t in combinations(range(1, m), n - 1))
-        ]
-        for i, (j, pj, _) in enumerate(rows):
+        subsets = [ResidueSet(m, (0,) + t) for t in combinations(range(1, m), n - 1)]
+        # the indices of the 0-containing subsets, in enumeration order, in
+        # classes by (P(x), Z(x)); both verdicts of a pair read only these
+        classes: dict[tuple, list[int]] = {}
+        for i, x in enumerate(subsets):
+            classes.setdefault((primitive_set(x), vanishing_set(x)), []).append(i)
+        first = None
+        for (pj, _), rows in classes.items():
             prims = frozenset(pj.without_one())
-            for k, pk, zeros in rows[i:]:
+            for (pk, zeros), cols in classes.items():
+                if rows[0] > cols[-1]:
+                    continue  # no pair j <= k in this class pair
                 fast = fast_test(m, pj, pk).decision
                 exact = Decision.HADAMARD if prims <= zeros else Decision.NOT_HADAMARD
                 if fast is not exact:
-                    return {
-                        "suite": f"oracle{n}",
-                        "m": m,
-                        "j": j.elements,
-                        "k": k.elements,
-                        "fast": fast.value,
-                        "exact": exact.value,
-                    }
+                    # the pair-by-pair scan meets this class pair first at its
+                    # least row and the least column at or after that row
+                    pair = (rows[0], cols[bisect_left(cols, rows[0])])
+                    if first is None or pair < first[0]:
+                        first = (pair, fast, exact)
+        if first is not None:
+            (j, k), fast, exact = first
+            return {
+                "suite": f"oracle{n}",
+                "m": m,
+                "j": subsets[j].elements,
+                "k": subsets[k].elements,
+                "fast": fast.value,
+                "exact": exact.value,
+            }
     return None
 
 
@@ -90,7 +104,9 @@ def check_oracle_2x2(m_max: int) -> dict | None:
     of 0-containing 2-subsets for all moduli up to m_max.
 
     The test gets P(J) and P(K); the exact verdict is the inclusion of P(J)
-    minus {1} in the vanishing set Z(K), all computed once per subset.
+    minus {1} in the vanishing set Z(K).  Both are decided once per pair of
+    (P(x), Z(x)) classes, and a mismatch reports the first subset pair
+    J <= K, in enumeration order, that a pair-by-pair scan would meet.
     """
     return _oracle_equivalence(m_max, 2, decide_2x2_general)
 
@@ -100,7 +116,9 @@ def check_oracle_3x3(m_max: int) -> dict | None:
     0-containing 3-subsets for all moduli up to m_max.
 
     The test gets P(J) and P(K); the exact verdict is the inclusion of P(J)
-    minus {1} in the vanishing set Z(K), all computed once per subset.
+    minus {1} in the vanishing set Z(K).  Both are decided once per pair of
+    (P(x), Z(x)) classes, and a mismatch reports the first subset pair
+    J <= K, in enumeration order, that a pair-by-pair scan would meet.
     """
     return _oracle_equivalence(m_max, 3, decide_3x3)
 
@@ -144,13 +162,20 @@ def compprop_violation(x: ResidueSet) -> dict | None:
 def check_compprop(m_max: int, samples: int) -> dict | None:
     """Exhaustive sweep over moduli up to m_max and sizes 2..4, then
     `samples` random cases with moduli above m_max up to 5000 and sizes up
-    to 8, drawn from a fixed seed."""
+    to 8, drawn from a fixed seed.
+
+    The exhaustive part checks the 0-containing subsets only.  Whether x
+    violates a bound depends only on m and its integer differences, which
+    every translate of x inside [0, m) shares, and the 0-containing subsets
+    come first among the subsets of one (m, size), so the first
+    counterexample is the one that a sweep over all subsets finds.
+    """
     if m_max < 2 and samples < 1:
         raise ValueError("compprop checks nothing unless m_max >= 2 or samples >= 1")
     for m in range(2, m_max + 1):
         for size in range(2, min(4, m) + 1):
-            for elems in combinations(range(m), size):
-                bad = compprop_violation(ResidueSet(m, elems))
+            for tail in combinations(range(1, m), size - 1):
+                bad = compprop_violation(ResidueSet(m, (0,) + tail))
                 if bad:
                     return bad
     rng = random.Random(20260810)

@@ -108,6 +108,11 @@ def test_test_command_usage(capsys):
         code, out, err = run(base + ["--tol", tol], capsys)
         assert code == 2 and out == ""
         assert err == f"error: tolerance must be positive and finite, got {tol}\n"
+    # every oracle checks the tolerance, also those that never read it
+    for oracle, tol, shown in (("auto", "nan", "nan"), ("exact", "-1", "-1.0")):
+        code, out, err = run(base[:-1] + [oracle, "--tol", tol], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: tolerance must be positive and finite, got {shown}\n"
 
 
 def test_graph_command(capsys, tmp_path):
@@ -249,6 +254,8 @@ def test_verify_negative_bound_exits_2(capsys, argv):
         ["oracle3", "--m-max", "2"],
         ["disjoint", "--n-max", "1"],
         ["disjoint", "-m", "12", "--n", "2"],
+        ["disjoint", "-m", "0"],
+        ["disjoint", "-m", "-3"],
         ["compprop", "--m-max", "1", "--samples", "0"],
     ],
 )

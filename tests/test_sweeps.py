@@ -2,13 +2,15 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sweep_reference as reference
 from fourier_hadamard import graphs, sweeps
 from fourier_hadamard.cli import main
 from fourier_hadamard.graphs import build_graph, classify_submatrix_size
-from fourier_hadamard.hadamard import Decision
+from fourier_hadamard.hadamard import Decision, decide_2x2_general, decide_3x3
 from fourier_hadamard.numtheory import divisors
-from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, primitive_set
+from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, difference_set, primitive_set
 
 PLANTED = PrimitiveSet((1, 9999))
 
@@ -146,3 +148,82 @@ def test_oracle_2x2_reports_planted_fault(monkeypatch):
         "fast": "hadamard",
         "exact": "not-hadamard",
     }
+
+
+FAST_TEST = {2: "decide_2x2_general", 3: "decide_3x3"}
+
+
+def test_oracle_sweeps_match_pair_by_pair_reference():
+    assert sweeps.check_oracle_2x2(48) is None
+    assert reference.oracle_equivalence(48, 2, decide_2x2_general) is None
+    assert sweeps.check_oracle_3x3(22) is None
+    assert reference.oracle_equivalence(22, 3, decide_3x3) is None
+
+
+@st.composite
+def planted_oracle_faults(draw):
+    """A size n, a modulus m and two pairs of 0-containing n-subsets J <= K
+    in enumeration order, so that the pair-by-pair scan meets both
+    (P(J), P(K)) keys."""
+    n = draw(st.sampled_from((2, 3)))
+    m = draw(st.integers(n, 16))
+    tails = st.lists(st.integers(1, m - 1), min_size=n - 1, max_size=n - 1, unique=True)
+
+    def pair():
+        return tuple(sorted((0,) + tuple(sorted(draw(tails))) for _ in range(2)))
+
+    return n, m, {pair(), pair()}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(planted_oracle_faults())
+def test_oracle_sweeps_report_the_reference_counterexample(fault):
+    n, m, pairs = fault
+    # one pair per (P(J), P(K)) key: a key flipped twice would be unflipped
+    keys = {
+        (primitive_set(ResidueSet(m, j)), primitive_set(ResidueSet(m, k))): (j, k)
+        for j, k in pairs
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        for j, k in keys.values():
+            flip_one_verdict(mp, FAST_TEST[n], m, j, k)
+        planted = getattr(sweeps, FAST_TEST[n])
+        check = sweeps.check_oracle_2x2 if n == 2 else sweeps.check_oracle_3x3
+        found = check(m)
+        assert found == reference.oracle_equivalence(m, n, planted)
+    assert found["m"] == m
+
+
+def test_compprop_sweep_matches_all_subsets_reference():
+    assert sweeps.check_compprop(20, 200) is None
+    assert reference.compprop(20, 200) is None
+
+
+@st.composite
+def planted_compprop_faults(draw):
+    """A modulus m, a subset x of [0, m) with 2 to 4 elements and a sweep
+    bound m_max >= m."""
+    m = draw(st.integers(2, 12))
+    size = draw(st.integers(2, min(4, m)))
+    x = draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size, unique=True))
+    return m, tuple(sorted(x)), draw(st.integers(m, 12))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(planted_compprop_faults())
+def test_compprop_sweep_reports_the_reference_violation(fault):
+    m, x, m_max = fault
+    key = difference_set(ResidueSet(m, x))
+    original = sweeps.compprop_violation
+
+    def planted(y):
+        if y.modulus == m and difference_set(y) == key:
+            return {"suite": "compprop", "m": m, "x": y.elements}
+        return original(y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweeps, "compprop_violation", planted)
+        found = sweeps.check_compprop(m_max, 20)
+        assert found == reference.compprop(m_max, 20)
+    assert found["m"] == m and found["x"][0] == 0
+    assert difference_set(ResidueSet(m, found["x"])) == key
