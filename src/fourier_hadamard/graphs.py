@@ -3,21 +3,32 @@
 For a modulus m and size n, the graph has a vertex for every primitive set
 realized by the row set of some n-by-n Hadamard submatrix of the m-by-m
 Fourier matrix, and an edge (loops allowed) between two primitive sets
-whenever some Hadamard submatrix realizes them together.  Whether a pair of
-selections forms a Hadamard submatrix depends only on their primitive sets,
-so one representative per primitive-set class decides the whole class; that
-is the pruning that makes construction fast compared to testing every pair
-of selections.
+whenever some Hadamard submatrix realizes them together.  H_(J,K) is
+Hadamard exactly when P(J) minus {1} is a subset of Z(K), the orders s > 1
+at which K(z) vanishes, so the builder works on divisor bitmasks: it
+enumerates the 0-containing subsets once, keeps the least subset of each
+primitive-set mask as the bucket's witness, computes Z of each witness once
+as a mask over the same bits, and draws an edge wherever one mask lies
+inside the other's Z.  The exact oracle then re-checks every edge.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import islice
+from math import gcd
+from operator import or_
 
-from .hadamard import Decision, SubmatrixSpec, is_hadamard, is_hadamard_exact
-from .primsets import PrimitiveSet, ResidueSet, primitive_set, size_divisor
+from .hadamard import Decision, SubmatrixSpec, is_hadamard_exact, vanishing_set
+from .numtheory import ModulusContext, modulus_context
+from .primsets import (
+    PrimitiveSet,
+    ResidueSet,
+    interned_primitive_set,
+    primitive_set,
+    size_divisor,
+)
 
 __all__ = [
     "CompatGraph",
@@ -35,7 +46,9 @@ __all__ = [
 JSON_FORMAT = "compatgraph/1"
 
 # build_graph refuses to enumerate more 0-containing subsets than this,
-# about 15 minutes of work at 9 us per subset
+# about 35 s of work at 0.35 us per subset (G(60,7), 45,057,474 subsets,
+# builds in 15 s on a 2-core machine); the difference table holds one
+# 8-byte entry per residue, so G(m,2) near the bound keeps about 800 MB
 MAX_SUBSETS = 10**8
 
 
@@ -67,40 +80,44 @@ def build_graph(m: int, n: int) -> CompatGraph:
     """Construct the compatibility graph for modulus m and size n.
 
     Enumerates the n-subsets of {0..m-1} that contain 0 (shifting leaves
-    both Hadamard-ness and primitive sets unchanged, so nothing is lost),
-    buckets them by primitive set keeping the lexicographically least
-    subset as the witness, tests every unordered bucket pair once, and keeps
-    the vertices that appear in at least one passing pair.  Output is
-    independent of enumeration order.  Every edge is then re-checked by the
-    exact oracle; a failure raises VerificationError.  More than
-    MAX_SUBSETS subsets to enumerate raise ValueError up front.
+    both Hadamard-ness and primitive sets unchanged, so nothing is lost) as
+    divisor bitmasks of their primitive sets, keeps the lexicographically
+    least subset of each mask as the bucket's witness, and computes Z of
+    each witness once as a mask.  Buckets p <= q are joined iff the mask of
+    p lies inside Z(q), and the vertices are the buckets on an edge.  Every
+    edge is then re-checked by the exact oracle; a failure raises
+    VerificationError.  More than MAX_SUBSETS subsets to enumerate raise
+    ValueError up front.
     """
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
     if n > m:
         raise ValueError(f"size {n} exceeds modulus {m}")
     _require_enumerable(m, n)
-    witnesses: dict[PrimitiveSet, ResidueSet] = {}
-    for tail in combinations(range(1, m), n - 1):
-        subset = ResidueSet(m, (0,) + tail)
-        p = primitive_set(subset)
-        if p not in witnesses:
-            # combinations() yields subsets in lexicographic order, so the
-            # first subset seen for a bucket is its least member
-            witnesses[p] = subset
-    buckets = sorted(witnesses)
-
-    def passes(p: PrimitiveSet, q: PrimitiveSet) -> bool:
-        spec = SubmatrixSpec(m, witnesses[p], witnesses[q])
-        return is_hadamard(spec).decision is Decision.HADAMARD
-
+    ctx = modulus_context(m)
+    # (P, mask of P, witness), sorted by primitive set; the sets are
+    # distinct, so the sort never compares further
+    buckets = sorted(
+        (interned_primitive_set(ctx, mask), mask, ResidueSet(m, least))
+        for mask, least in _least_members(ctx, n).items()
+    )
+    # a singleton's mask is 0 and passes against any Z, so n = 1 skips Z
+    # and never factorizes m, which may be too large to factorize
+    zeros = [_vanishing_mask(ctx, k) if n > 1 else 0 for _, _, k in buckets]
+    # p joins q iff mask(p) & ~Z(q) == 0; many buckets share one Z, so the
+    # buckets inside each distinct Z are listed once
+    inside: dict[int, list[PrimitiveSet]] = {}
+    for zero in zeros:
+        if zero not in inside:
+            inside[zero] = [p for p, mask, _ in buckets if not mask & ~zero]
     edges = frozenset(
         (p, q)
-        for i, p in enumerate(buckets)
-        for q in buckets[i:]
-        if passes(p, q)
+        for (q, _, _), zero in zip(buckets, zeros)
+        for p in inside[zero]
+        if p <= q
     )
     vertices = frozenset(v for pair in edges for v in pair)
+    witnesses = {p: k for p, _, k in buckets}
     representatives = {v: witnesses[v] for v in sorted(vertices)}
     graph = CompatGraph(m, n, vertices, edges, representatives)
     if bad := _reverify_edges(graph):
@@ -108,6 +125,86 @@ def build_graph(m: int, n: int) -> CompatGraph:
             f"edge {bad[0]} -- {bad[1]} of G({m},{n}) failed exact re-verification"
         )
     return graph
+
+
+def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
+    """The lexicographically least 0-containing n-subset of each primitive-set
+    mask that the n-subsets of {0..m-1} realize, keyed by mask.
+
+    table[d] is the bit of gcd(m, d), assigned through m's context, so the
+    masks are the ones ``primitive_set`` computes.  An iterative
+    depth-first walk visits the prefixes 0 = a_0 < ... < a_(n-3) in
+    lexicographic order; a prefix's mask is its parent's ORed with
+    table[a_i - a] for each earlier a, so a step recomputes only the
+    entries from the first changed element on.  The last two elements
+    c < c' run over whole rows: near[c] is the prefix's mask ORed with the
+    bits of c against every prefix element, and the subset ends in c, c'
+    has mask near[c] | near[c'] | table[c' - c].  Only masks not seen
+    before are searched for their least c'.  Each of the C(m-1, n-1)
+    subsets is one row entry; memory stays O(m + n).
+    """
+    m = ctx.m
+    if n == 1:
+        return {0: (0,)}
+    bit = ctx.bit
+    table = [0] * m
+    for d in range(1, m):
+        g = gcd(m, d)
+        table[d] = bit.get(g) or ctx.add_bit(g)
+    least: dict[int, tuple[int, ...]] = {}
+
+    def keep(fresh: set[int], prefix: tuple[int, ...], lo: int, row) -> None:
+        # row yields the masks of prefix + (c,) for c = lo, lo + 1, ...
+        for c, mask in enumerate(row, lo):
+            if mask in fresh:
+                fresh.remove(mask)
+                least[mask] = (*prefix, c)
+                if not fresh:
+                    return
+
+    if n == 2:
+        keep(set(islice(table, 1, None)), (0,), 1, islice(table, 1, None))
+        return least
+    k = n - 2  # prefix length
+    path = list(range(k))
+    masks = [0] * k  # masks[i] is the mask of path[:i + 1]
+    stale = 1  # masks[stale:] belong to an earlier path
+    while True:
+        for i in range(stale, k):
+            c, mask = path[i], masks[i - 1]
+            for a in path[:i]:
+                mask |= table[c - a]
+            masks[i] = mask
+        lo = path[-1] + 1
+        near = list(map(masks[-1].__or__, table[lo:]))
+        for a in path[1:]:
+            # one list per step: a chain of n lazy maps would nest n C calls
+            near = list(map(or_, near, table[lo - a : m - a]))
+        for j, h in enumerate(near[:-1]):
+            c = lo + j
+            ends = set(map(or_, near[j + 1 :], table[1 : m - c]))
+            if fresh := {h | e for e in ends}.difference(least):
+                row = map(or_, near[j + 1 :], table[1 : m - c])
+                keep(fresh, (*path, c), c + 1, map(h.__or__, row))
+        # the next prefix in lexicographic order; a_i is at most m - n + i
+        i = k - 1
+        while i and path[i] == m - n + i:
+            i -= 1
+        if not i:
+            return least
+        path[i] += 1
+        for j in range(i + 1, k):
+            path[j] = path[j - 1] + 1
+        stale = i
+
+
+def _vanishing_mask(ctx: ModulusContext, k: ResidueSet) -> int:
+    """Z(K) as a mask over the divisor bits of m's context, every one of
+    which ``_least_members`` has assigned."""
+    mask = 0
+    for s in vanishing_set(k):
+        mask |= ctx.bit[ctx.m // s]
+    return mask
 
 
 def _require_enumerable(m: int, n: int) -> None:

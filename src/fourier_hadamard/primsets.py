@@ -11,13 +11,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
 
-from .numtheory import cyclotomic_at_one, modulus_context
+from .numtheory import ModulusContext, cyclotomic_at_one, modulus_context
 
 __all__ = [
     "ResidueSet",
     "PrimitiveSet",
     "difference_set",
     "primitive_set",
+    "interned_primitive_set",
     "size_divisor",
     "shift",
     "scale",
@@ -114,6 +115,12 @@ def primitive_set(x: ResidueSet) -> PrimitiveSet:
     for a, b in combinations(x.elements, 2):
         g = gcd(m, b - a)
         mask |= bit.get(g) or ctx.add_bit(g)
+    return interned_primitive_set(ctx, mask)
+
+
+def interned_primitive_set(ctx: ModulusContext, mask: int) -> PrimitiveSet:
+    """The one PrimitiveSet of m's context with 1 and the orders of the bits
+    set in mask, created on first request."""
     prims = ctx.interned.get(mask)
     if prims is None:
         prims = ctx.interned[mask] = PrimitiveSet([1, *ctx.orders_of(mask)])

@@ -9,7 +9,7 @@ import pytest
 
 import fourier_hadamard
 from fourier_hadamard.cli import main
-from fourier_hadamard.hadamard import Decision, SubmatrixVerdict
+from fourier_hadamard.numtheory import divisors
 
 
 def run(argv, capsys):
@@ -200,10 +200,11 @@ def test_graph_output_deterministic(capsys):
 
 
 def test_graph_verification_failure_exits_3(capsys, monkeypatch):
-    def always(spec):
-        return SubmatrixVerdict(Decision.HADAMARD, "exact")
+    # a Z(K) holding every order puts every bucket inside every other
+    def everything(k):
+        return frozenset(divisors(k.modulus)[1:])
 
-    monkeypatch.setattr("fourier_hadamard.graphs.is_hadamard", always)
+    monkeypatch.setattr("fourier_hadamard.graphs.vanishing_set", everything)
     code, out, err = run(["graph", "-m", "6", "-n", "2"], capsys)
     assert code == 3 and out == ""
     assert err.startswith("verification failure: edge {1,2} -- {1,3} of G(6,2)")

@@ -2,7 +2,9 @@ import json
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_builder
 from fourier_hadamard import graphs
 from fourier_hadamard.graphs import (
     GraphFormatError,
@@ -15,9 +17,10 @@ from fourier_hadamard.graphs import (
     has_edge,
     import_json,
 )
-from fourier_hadamard.hadamard import Decision, SubmatrixVerdict
-from fourier_hadamard.primsets import PrimitiveSet
+from fourier_hadamard.numtheory import divisors
+from fourier_hadamard.primsets import PrimitiveSet, primitive_set
 from fourier_hadamard.sweeps import check_disjoint, check_scaling
+from record_atlas import CASES as ATLAS_CASES
 
 
 def pset(*elements):
@@ -213,13 +216,62 @@ def test_build_determinism():
 
 def test_build_graph_reverification_catches_wrong_edges(monkeypatch):
     # a pair phase that passes every pair must be caught by the exact
-    # re-check, naming the first wrong edge in sorted order
-    def always(spec):
-        return SubmatrixVerdict(Decision.HADAMARD, "exact")
+    # re-check, naming the first wrong edge in sorted order; a Z(K) holding
+    # every order puts every bucket inside every other
+    def everything(k):
+        return frozenset(divisors(k.modulus)[1:])
 
-    monkeypatch.setattr(graphs, "is_hadamard", always)
+    monkeypatch.setattr(graphs, "vanishing_set", everything)
     with pytest.raises(
         VerificationError,
         match=r"^edge \{1,2\} -- \{1,3\} of G\(6,2\) failed exact re-verification$",
     ):
         build_graph(6, 2)
+
+
+# Every (m, n) with m <= 60 and n <= 6 that the atlas does not pin, as long
+# as it has at most 60,000 0-containing subsets, by n: the reference builder
+# takes about 0.4 s at that size.
+BEYOND_ATLAS = {
+    n: [
+        m
+        for m in range(n, 61)
+        if (m, n) not in ATLAS_CASES and comb(m - 1, n - 1) <= 60_000
+    ]
+    for n in range(1, 7)
+}
+
+
+# 60 derandomized draws, n uniform in 1..6 (m up to 37 for n = 5 and 25 for
+# n = 6), about 4 s in all on a 2-core machine
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.sampled_from(BEYOND_ATLAS[n]), st.just(n))))
+def test_build_graph_matches_reference_beyond_atlas(case):
+    m, n = case
+    assert export_json(build_graph(m, n)) == export_json(
+        reference_builder.build_graph(m, n)
+    )
+
+
+def test_build_graph_matches_reference_on_g1100_1100():
+    # one subset 1100 elements deep: the enumeration must not recurse
+    assert export_json(build_graph(1100, 1100)) == export_json(
+        reference_builder.build_graph(1100, 1100)
+    )
+
+
+@pytest.mark.parametrize("m, n", [(6, 2), (30, 6), (60, 5), (72, 4), (180, 3)])
+def test_representatives_give_back_their_interned_vertex(m, n):
+    graph = build_graph(m, n)
+    assert graph.vertices
+    for v in graph.vertices:
+        assert primitive_set(graph.representatives[v]) is v
+
+
+def test_singleton_graph_at_a_modulus_too_large_to_factorize():
+    # a singleton's mask is 0, so no vanishing set is computed and m, a
+    # Mersenne prime, is never factorized
+    g = build_graph(2**89 - 1, 1)
+    assert g.edges == frozenset({(pset(1), pset(1))})
+    assert g.representatives[pset(1)].elements == (0,)
