@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations
 from math import gcd
 from operator import or_
 
@@ -47,8 +47,8 @@ JSON_FORMAT = "compatgraph/1"
 
 # build_graph refuses to enumerate more 0-containing subsets than this,
 # about 35 s of work at 0.35 us per subset (G(60,7), 45,057,474 subsets,
-# builds in 15 s on a 2-core machine); the difference table holds one
-# 8-byte entry per residue, so G(m,2) near the bound keeps about 800 MB
+# builds in 15 s on a 2-core machine); G(m,2) is read off the divisors of
+# m, so only n >= 3 enumerates and builds a table of one entry per residue
 MAX_SUBSETS = 10**8
 
 
@@ -79,15 +79,15 @@ class CompatGraph:
 def build_graph(m: int, n: int) -> CompatGraph:
     """Construct the compatibility graph for modulus m and size n.
 
-    Enumerates the n-subsets of {0..m-1} that contain 0 (shifting leaves
-    both Hadamard-ness and primitive sets unchanged, so nothing is lost) as
-    divisor bitmasks of their primitive sets, keeps the lexicographically
-    least subset of each mask as the bucket's witness, and computes Z of
-    each witness once as a mask.  Buckets p <= q are joined iff the mask of
-    p lies inside Z(q), and the vertices are the buckets on an edge.  Every
-    edge is then re-checked by the exact oracle; a failure raises
-    VerificationError.  More than MAX_SUBSETS subsets to enumerate raise
-    ValueError up front.
+    Buckets the n-subsets of {0..m-1} that contain 0 (shifting leaves
+    both Hadamard-ness and primitive sets unchanged, so nothing is lost) by
+    the divisor bitmasks of their primitive sets (for n = 2, read off the
+    divisors of m), keeps the lexicographically least subset of each mask
+    as the bucket's witness, and computes Z of each witness once as a
+    mask.  Buckets p <= q are joined iff the mask of p lies inside Z(q),
+    and the vertices are the buckets on an edge.  Every edge is then
+    re-checked by the exact oracle; a failure raises VerificationError.
+    More than MAX_SUBSETS subsets to enumerate raise ValueError up front.
     """
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
@@ -131,14 +131,16 @@ def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
     """The lexicographically least 0-containing n-subset of each primitive-set
     mask that the n-subsets of {0..m-1} realize, keyed by mask.
 
-    table[d] is the bit of gcd(m, d), assigned through m's context, so the
-    masks are the ones ``primitive_set`` computes.  An iterative
-    depth-first walk visits the prefixes 0 = a_0 < ... < a_(n-3) in
-    lexicographic order; a prefix's mask is its parent's ORed with
-    table[a_i - a] for each earlier a, so a step recomputes only the
-    entries from the first changed element on.  The last two elements
+    For n = 2 the mask of {0, d} is the bit of gcd(m, d), so each divisor
+    g < m is one bucket and {0, g} its least member; nothing is enumerated.
+    For n >= 3, table[d] is the bit of gcd(m, d), assigned through m's
+    context, so the masks are the ones ``primitive_set`` computes.  The
+    prefixes 0 = a_0 < ... < a_(n-3) come from ``combinations`` in
+    lexicographic order; masks[i], the mask of a_0..a_i, is masks[i - 1]
+    ORed with table[a_i - a] for each earlier a, and only the entries from
+    the first element that changed are recomputed.  The last two elements
     c < c' run over whole rows: near[c] is the prefix's mask ORed with the
-    bits of c against every prefix element, and the subset ends in c, c'
+    bits of c against every prefix element, and the subset ending in c, c'
     has mask near[c] | near[c'] | table[c' - c].  Only masks not seen
     before are searched for their least c'.  Each of the C(m-1, n-1)
     subsets is one row entry; memory stays O(m + n).
@@ -147,37 +149,30 @@ def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
     if n == 1:
         return {0: (0,)}
     bit = ctx.bit
+    if n == 2:
+        return {bit.get(g) or ctx.add_bit(g): (0, g) for g in ctx.divisors[:-1]}
     table = [0] * m
     for d in range(1, m):
         g = gcd(m, d)
         table[d] = bit.get(g) or ctx.add_bit(g)
     least: dict[int, tuple[int, ...]] = {}
-
-    def keep(fresh: set[int], prefix: tuple[int, ...], lo: int, row) -> None:
-        # row yields the masks of prefix + (c,) for c = lo, lo + 1, ...
-        for c, mask in enumerate(row, lo):
-            if mask in fresh:
-                fresh.remove(mask)
-                least[mask] = (*prefix, c)
-                if not fresh:
-                    return
-
-    if n == 2:
-        keep(set(islice(table, 1, None)), (0,), 1, islice(table, 1, None))
-        return least
     k = n - 2  # prefix length
-    path = list(range(k))
     masks = [0] * k  # masks[i] is the mask of path[:i + 1]
-    stale = 1  # masks[stale:] belong to an earlier path
-    while True:
-        for i in range(stale, k):
+    last = (0,) * k  # the previous prefix; every real one has a_1 > 0
+    for tail in combinations(range(1, m - 2), k - 1):
+        path = (0, *tail)
+        i = 1
+        while i < k and path[i] == last[i]:
+            i += 1
+        for i in range(i, k):
             c, mask = path[i], masks[i - 1]
             for a in path[:i]:
                 mask |= table[c - a]
             masks[i] = mask
+        last = path
         lo = path[-1] + 1
         near = list(map(masks[-1].__or__, table[lo:]))
-        for a in path[1:]:
+        for a in tail:
             # one list per step: a chain of n lazy maps would nest n C calls
             near = list(map(or_, near, table[lo - a : m - a]))
         for j, h in enumerate(near[:-1]):
@@ -185,17 +180,13 @@ def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
             ends = set(map(or_, near[j + 1 :], table[1 : m - c]))
             if fresh := {h | e for e in ends}.difference(least):
                 row = map(or_, near[j + 1 :], table[1 : m - c])
-                keep(fresh, (*path, c), c + 1, map(h.__or__, row))
-        # the next prefix in lexicographic order; a_i is at most m - n + i
-        i = k - 1
-        while i and path[i] == m - n + i:
-            i -= 1
-        if not i:
-            return least
-        path[i] += 1
-        for j in range(i + 1, k):
-            path[j] = path[j - 1] + 1
-        stale = i
+                for c2, mask in enumerate(map(h.__or__, row), c + 1):
+                    if mask in fresh:
+                        fresh.remove(mask)
+                        least[mask] = (*path, c, c2)
+                        if not fresh:
+                            break
+    return least
 
 
 def _vanishing_mask(ctx: ModulusContext, k: ResidueSet) -> int:
@@ -268,13 +259,14 @@ def classify_submatrix_size(x, m_candidates) -> int:
     candidates = list(m_candidates)
     if not candidates:
         raise ValueError("at least one candidate modulus is required")
+    for m in candidates:
+        if m < 1:
+            raise ValueError(f"candidate modulus must be positive, got {m}")
     if 1 not in elements:
         return 0  # every primitive set contains 1
     target = PrimitiveSet(elements)
     divisor = size_divisor(target)
     for m in candidates:
-        if m < 1:
-            raise ValueError(f"candidate modulus must be positive, got {m}")
         if any(m % e for e in elements):
             continue
         for n in range(divisor, m + 1, divisor):
@@ -345,9 +337,9 @@ def import_json(text: str) -> CompatGraph:
         if field not in doc:
             raise GraphFormatError(f"{field}: missing")
     m, n = doc["m"], doc["n"]
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise GraphFormatError("m: expected a positive integer")
-    if not isinstance(n, int) or not 1 <= n <= m:
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= m:
         raise GraphFormatError("n: expected an integer in [1, m]")
 
     if not isinstance(doc["vertices"], list):

@@ -354,6 +354,14 @@ def test_classify_usage(capsys):
     assert err == "error: expected comma-separated integers, got '12,x'\n"
 
 
+@pytest.mark.parametrize("moduli", ["2,0", "0,2"])
+def test_classify_rejects_a_bad_candidate_anywhere(capsys, moduli):
+    # {1,2} is found at m = 2, before the search would reach the 0
+    code, out, err = run(["classify", "1,2", "--m", moduli], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: candidate modulus must be positive, got 0\n"
+
+
 def test_package_loads_only_the_standard_library():
     # against a snapshot, because site may already have loaded .pth modules
     probe = textwrap.dedent("""

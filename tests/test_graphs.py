@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 from math import comb
 
 import pytest
@@ -134,6 +136,16 @@ def test_classify():
         classify_submatrix_size({0, 1}, [12])
 
 
+@pytest.mark.parametrize("candidates", [[2, 0], [0, 2], [12, -3]])
+def test_classify_rejects_every_bad_candidate_before_building(monkeypatch, candidates):
+    # {1,2} is a vertex of G(2,2), so a search that checked candidates only
+    # as it reached them would return before seeing the bad one
+    monkeypatch.setattr(graphs, "build_graph", None)
+    bad = next(m for m in candidates if m < 1)
+    with pytest.raises(ValueError, match=f"^candidate modulus must be positive, got {bad}$"):
+        classify_submatrix_size({1, 2}, candidates)
+
+
 def test_export_dot_golden():
     assert export_dot(build_graph(6, 2)) == (
         'graph "G(6,2)" {\n'
@@ -201,6 +213,90 @@ def test_import_json_rejects_bad_documents():
         import_json(json.dumps(doc))
 
 
+def _doc_g6_2():
+    # {"m":6,"n":2,"vertices":[[1,2],[1,6]],
+    #  "edges":[[[1,2],[1,2]],[[1,2],[1,6]]],
+    #  "representatives":{"1,2":[0,3],"1,6":[0,1]}}
+    return json.loads(export_json(build_graph(6, 2)))
+
+
+def _replaced(*keys, value):
+    """The G(6,2) document with the entry at doc[keys[0]][keys[1]]...
+    set to value, or deleted when value is None."""
+    doc = _doc_g6_2()
+    *outer, last = keys
+    target = doc
+    for key in outer:
+        target = target[key]
+    if value is None:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(doc)
+
+
+def _appended(field, value):
+    doc = _doc_g6_2()
+    doc[field].append(value)
+    return json.dumps(doc)
+
+
+# one malformed G(6,2) document per rejecting branch of import_json, with
+# the location its message starts with
+MALFORMED = [
+    ("{not json", "not valid JSON: "),
+    ("[]", "top level: expected an object"),
+    (_replaced("format", value="other/1"), "format: expected 'compatgraph/1', got 'other/1'"),
+    (_replaced("edges", value=None), "edges: missing"),
+    (_replaced("m", value=0), "m: expected a positive integer"),
+    (_replaced("m", value="6"), "m: expected a positive integer"),
+    (_replaced("m", value=True), "m: expected a positive integer"),
+    (_replaced("n", value=7), "n: expected an integer in [1, m]"),
+    (_replaced("n", value=True), "n: expected an integer in [1, m]"),
+    (_replaced("vertices", value={}), "vertices: expected a list"),
+    (_replaced("vertices", 0, value=[1, True]), "vertices[0]: expected a list of integers"),
+    (_replaced("vertices", 0, value=[2, 4]), "vertices[0]: a primitive set always contains 1"),
+    (_replaced("vertices", 1, value=[6, 1]), "vertices[1]: elements must be sorted and distinct"),
+    (_replaced("vertices", 1, value=[1, 4]), "vertices[1]: {1,4} has elements not dividing m=6"),
+    (_appended("vertices", [1, 2]), "vertices: duplicate entries"),
+    (_replaced("edges", value={}), "edges: expected a list"),
+    (_replaced("edges", 0, value=[[1, 2]]), "edges[0]: expected a pair of vertices"),
+    (_replaced("edges", 0, value=[[1, 2], "x"]),
+     "edges[0]: edges[0][1]: expected a list of integers"),
+    (_replaced("edges", 0, value=[[2], [1, 2]]), "edges[0]: a primitive set always contains 1"),
+    (_appended("edges", [[1, 3], [1, 2]]), "edges[2]: endpoint {1,3} is not a vertex"),
+    (_appended("edges", [[1, 2], [1, 3]]), "edges[2]: endpoint {1,3} is not a vertex"),
+    (_replaced("representatives", value=[]), "representatives: expected an object"),
+    (_replaced("representatives", "x", value=[0, 1]), "representatives['x']: bad key: "),
+    (_replaced("representatives", "1,3", value=[0, 2]),
+     "representatives['1,3']: {1,3} is not a vertex"),
+    (_replaced("representatives", "1,2", value="x"),
+     "representatives['1,2']: expected a list of integers"),
+    (_replaced("representatives", "1,2", value=[0, 6]),
+     "representatives['1,2']: residues (0, 6) out of range"),
+    (_replaced("representatives", "1,2", value=[3]),
+     "representatives['1,2']: witness size 1 != n=2"),
+    (_replaced("representatives", "1,2", value=[0, 1]),
+     "representatives['1,2']: witness has a different primitive set"),
+    (_replaced("representatives", "1,6", value=None), "representatives: missing entry for {1,6}"),
+    (_appended("edges", [[1, 6], [1, 6]]), "edges: {1,6} -- {1,6}: witnesses do not form"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, location", MALFORMED, ids=[loc.partition(":")[0] for _, loc in MALFORMED]
+)
+def test_import_json_names_the_location(text, location):
+    with pytest.raises(GraphFormatError, match="^" + re.escape(location)):
+        import_json(text)
+
+
+def test_import_json_orders_each_edge():
+    doc = _doc_g6_2()
+    doc["edges"][1].reverse()  # [{1,6}, {1,2}] loads as ({1,2}, {1,6})
+    assert import_json(json.dumps(doc)) == build_graph(6, 2)
+
+
 def test_import_json_rejects_isolated_vertex():
     doc = json.loads(export_json(build_graph(6, 2)))
     doc["vertices"].append([1, 3])
@@ -259,6 +355,31 @@ def test_build_graph_matches_reference_on_g1100_1100():
     assert export_json(build_graph(1100, 1100)) == export_json(
         reference_builder.build_graph(1100, 1100)
     )
+
+
+@pytest.mark.parametrize("m", [997, 1024, 2310, 4096, 5040])
+def test_g_m_2_matches_reference(m):
+    # G(m,2) is read off the divisors of m, with no enumeration
+    assert export_json(build_graph(m, 2)) == export_json(reference_builder.build_graph(m, 2))
+
+
+# prefixes that share long heads and change deep down; about 3 s in all
+@pytest.mark.parametrize("m, n", [(30, 28), (40, 37), (24, 20), (26, 23), (33, 30), (20, 17)])
+def test_long_prefix_graphs_match_reference(m, n):
+    assert export_json(build_graph(m, n)) == export_json(reference_builder.build_graph(m, n))
+
+
+def test_g_m_2_allocates_no_table():
+    # one bucket per divisor of 10^7 + 1 = 11 * 909091; a table of one
+    # entry per residue would take about 80 MB
+    tracemalloc.start()
+    try:
+        graph = build_graph(10**7 + 1, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not graph.edges  # m is odd, so no 2x2 submatrix is Hadamard
 
 
 @pytest.mark.parametrize("m, n", [(6, 2), (30, 6), (60, 5), (72, 4), (180, 3)])

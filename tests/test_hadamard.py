@@ -307,6 +307,29 @@ def test_certify_by_complement():
         certify_by_complement(j, k, {0})
 
 
+@pytest.mark.parametrize(
+    "j, a, message",
+    [
+        (ResidueSet(20, (0, 1, 2, 3, 4)), {0, 1}, "row and column sets must share a modulus"),
+        (ResidueSet(10, (0, 1)), {0, 1}, "row and column sets must have equal size"),
+        (ResidueSet(10, (0, 1, 7, 8, 9)), set(), "complement must be nonempty"),
+        (ResidueSet(10, (0, 1, 7, 8, 9)), {-1, 0}, "complement elements must be nonnegative"),
+        (ResidueSet(10, (0, 1, 7, 8, 9)), [0, 1, 1], "complement has repeated elements"),
+    ],
+)
+def test_certify_by_complement_rejects_bad_input(j, a, message):
+    k = ResidueSet(10, (0, 2, 4, 6, 8))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        certify_by_complement(j, k, a)
+
+
+def test_spec_rejects_a_foreign_modulus():
+    with pytest.raises(ValueError, match="^row and column sets must share the spec's modulus$"):
+        SubmatrixSpec(10, ResidueSet(10, (0, 1)), ResidueSet(20, (0, 1)))
+    with pytest.raises(ValueError, match="^row and column sets must share the spec's modulus$"):
+        SubmatrixSpec(12, ResidueSet(10, (0, 1)), ResidueSet(10, (0, 1)))
+
+
 def test_certify_by_complement_rejects_wrong_size_before_allocating():
     # |K| * |A| != m rules out a tiling up front, so a huge m allocates
     # nothing (the per-residue count list would need terabytes here)

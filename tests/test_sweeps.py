@@ -62,6 +62,20 @@ def test_check_scaling_reports_missing_vertex(monkeypatch):
     assert bad == {"suite": "scaling", "m": 9, "v": 2, "n": 2}
 
 
+def test_counts_2q_reports_wrong_count(monkeypatch, capsys):
+    # a planted vertex in G(2^3,2) makes its count 4 where 3 is expected
+    counting(monkeypatch, sweeps, plant={(8, 2)})
+    rows, bad = sweeps.check_counts_power_of_two(5)
+    assert rows == [(1, 1, 1), (2, 2, 1), (3, 4, 2)]
+    assert bad == {"suite": "counts2q", "q": 3, "vertices": 4, "edges": 2, "expected": (3, 2)}
+
+    assert main(["verify", "counts2q", "--q-max", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert "suite counts2q: FAIL" in err
+    assert f"counterexample: {bad}" in err
+    assert "G(2^4,2)" not in out
+
+
 def test_check_disjoint_rejects_repeated_size(monkeypatch, capsys):
     calls = counting(monkeypatch, sweeps)
     with pytest.raises(ValueError, match="sizes must differ"):
