@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
 from math import gcd
 from operator import or_
 
@@ -45,10 +45,10 @@ __all__ = [
 
 JSON_FORMAT = "compatgraph/1"
 
-# build_graph refuses to enumerate more 0-containing subsets than this,
-# about 35 s of work at 0.35 us per subset (G(60,7), 45,057,474 subsets,
-# builds in 15 s on a 2-core machine); G(m,2) is read off the divisors of
-# m, so only n >= 3 enumerates and builds a table of one entry per residue
+# build_graph refuses more 0-containing subsets than this, or more
+# differences in one witness; the walk visits only subsets whose second
+# element divides m (G(60,7): 27,321,337 of 45,057,474, built in 10 s on a
+# 2-core machine), and G(m,2) and G(m,n) with 2n > m enumerate nothing
 MAX_SUBSETS = 10**8
 
 
@@ -87,7 +87,8 @@ def build_graph(m: int, n: int) -> CompatGraph:
     mask.  Buckets p <= q are joined iff the mask of p lies inside Z(q),
     and the vertices are the buckets on an edge.  Every edge is then
     re-checked by the exact oracle; a failure raises VerificationError.
-    More than MAX_SUBSETS subsets to enumerate raise ValueError up front.
+    More than MAX_SUBSETS subsets or witness differences raise ValueError
+    up front.
     """
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
@@ -132,18 +133,20 @@ def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
     mask that the n-subsets of {0..m-1} realize, keyed by mask.
 
     For n = 2 the mask of {0, d} is the bit of gcd(m, d), so each divisor
-    g < m is one bucket and {0, g} its least member; nothing is enumerated.
-    For n >= 3, table[d] is the bit of gcd(m, d), assigned through m's
-    context, so the masks are the ones ``primitive_set`` computes.  The
-    prefixes 0 = a_0 < ... < a_(n-3) come from ``combinations`` in
-    lexicographic order; masks[i], the mask of a_0..a_i, is masks[i - 1]
-    ORed with table[a_i - a] for each earlier a, and only the entries from
-    the first element that changed are recomputed.  The last two elements
-    c < c' run over whole rows: near[c] is the prefix's mask ORed with the
-    bits of c against every prefix element, and the subset ending in c, c'
-    has mask near[c] | near[c'] | table[c' - c].  Only masks not seen
-    before are searched for their least c'.  Each of the C(m-1, n-1)
-    subsets is one row entry; memory stays O(m + n).
+    g < m is one bucket and {0, g} its least member.  For n >= 3, table[d]
+    is the bit of gcd(m, d), assigned through m's context, and a subset's
+    mask ORs table[b - a] over its pairs a < b, as ``primitive_set`` does.
+    If 2n > m, x and x + d meet for every d, so every divisor bit is set
+    and the one bucket's least member is (0, 1, ..., n-1).  Otherwise the
+    least member (0, a_1, ...) of a bucket has a_1 | m: some unit u has
+    u * a_1 = g = gcd(m, a_1) (lift the unit a_1 / g mod m / g and invert
+    it), multiplying by u keeps every gcd(m, b - a), and u * x holds 0 and
+    g, so it would be smaller if g < a_1.  So a_1 runs over the divisors of
+    m below m, and the walk extends each path depth first: near[c - lo],
+    lo = path[-1] + 1, is the mask of path + (c,), so that of
+    path + (c, c') is near[c - lo] | near[c' - lo] | table[c' - c].  At
+    n - 1 elements near holds whole subsets' masks, searched only for masks
+    not seen before.  The recursion is n - 1 deep and memory O(n m).
     """
     m = ctx.m
     if n == 1:
@@ -155,37 +158,30 @@ def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
     for d in range(1, m):
         g = gcd(m, d)
         table[d] = bit.get(g) or ctx.add_bit(g)
+    if 2 * n > m:
+        return {reduce(or_, table): tuple(range(n))}
     least: dict[int, tuple[int, ...]] = {}
-    k = n - 2  # prefix length
-    masks = [0] * k  # masks[i] is the mask of path[:i + 1]
-    last = (0,) * k  # the previous prefix; every real one has a_1 > 0
-    for tail in combinations(range(1, m - 2), k - 1):
-        path = (0, *tail)
-        i = 1
-        while i < k and path[i] == last[i]:
-            i += 1
-        for i in range(i, k):
-            c, mask = path[i], masks[i - 1]
-            for a in path[:i]:
-                mask |= table[c - a]
-            masks[i] = mask
-        last = path
+
+    def walk(path: tuple[int, ...], near: list[int]) -> None:
         lo = path[-1] + 1
-        near = list(map(masks[-1].__or__, table[lo:]))
-        for a in tail:
-            # one list per step: a chain of n lazy maps would nest n C calls
-            near = list(map(or_, near, table[lo - a : m - a]))
-        for j, h in enumerate(near[:-1]):
-            c = lo + j
-            ends = set(map(or_, near[j + 1 :], table[1 : m - c]))
-            if fresh := {h | e for e in ends}.difference(least):
-                row = map(or_, near[j + 1 :], table[1 : m - c])
-                for c2, mask in enumerate(map(h.__or__, row), c + 1):
+        if len(path) == n - 1:
+            if fresh := set(near).difference(least):
+                for c, mask in enumerate(near, lo):
                     if mask in fresh:
                         fresh.remove(mask)
-                        least[mask] = (*path, c, c2)
+                        least[mask] = (*path, c)
                         if not fresh:
                             break
+            return
+        # c leaves room for the n - 1 - len(path) elements after it
+        for c in range(lo, m - n + len(path) + 1):
+            j = c - lo
+            row = map(or_, near[j + 1 :], table[1 : m - c])
+            walk((*path, c), list(map(near[j].__or__, row)))
+
+    for t in ctx.divisors[:-1]:
+        row = map(or_, table[t + 1 :], table[1 : m - t])
+        walk((0, t), list(map(table[t].__or__, row)))
     return least
 
 
@@ -199,16 +195,19 @@ def _vanishing_mask(ctx: ModulusContext, k: ResidueSet) -> int:
 
 
 def _require_enumerable(m: int, n: int) -> None:
-    """Raise ValueError when C(m-1, n-1), the number of 0-containing
-    n-subsets, exceeds MAX_SUBSETS.  With k = min(n-1, m-n) the partial
-    products C(m-1-k+i, i) at least double with i and end at C(m-1, n-1), so
-    the loop stops within a few dozen steps, however large m is."""
+    """Raise ValueError when C(m-1, n-1) 0-containing n-subsets or the
+    n(n-1)/2 differences that re-verification takes of a witness exceed
+    MAX_SUBSETS.  With k = min(n-1, m-n) the partial products
+    C(m-1-k+i, i) at least double with i and end at C(m-1, n-1), so the
+    loop stops within a few dozen steps, however large m is."""
     k = min(n - 1, m - n)
     count = 1
     for i in range(1, k + 1):
         count = count * (m - 1 - k + i) // i
         if count > MAX_SUBSETS:
             raise ValueError(f"G({m},{n}) has more than {MAX_SUBSETS} subsets to enumerate")
+    if n * (n - 1) // 2 > MAX_SUBSETS:
+        raise ValueError(f"G({m},{n}) has more than {MAX_SUBSETS} differences per witness")
 
 
 def _reverify_edges(graph: CompatGraph) -> tuple[PrimitiveSet, PrimitiveSet] | None:
@@ -368,9 +367,9 @@ def import_json(text: str) -> CompatGraph:
         where = f"edges[{i}]"
         if not isinstance(raw, list) or len(raw) != 2:
             raise GraphFormatError(f"{where}: expected a pair of vertices")
+        ends = [_expect_int_list(end, f"{where}[{k}]") for k, end in enumerate(raw)]
         try:
-            p = PrimitiveSet(_expect_int_list(raw[0], f"{where}[0]"))
-            q = PrimitiveSet(_expect_int_list(raw[1], f"{where}[1]"))
+            p, q = map(PrimitiveSet, ends)
         except ValueError as exc:
             raise GraphFormatError(f"{where}: {exc}") from exc
         if p not in vertex_set:

@@ -325,6 +325,15 @@ def test_huge_enumeration_refused(capsys, argv):
     assert err.startswith("error: G(") and "subsets to enumerate" in err
 
 
+def test_huge_difference_count_refused(capsys):
+    # one subset, but 100,005,153 differences to re-verify
+    start = time.perf_counter()
+    code, out, err = run(["graph", "-m", "14143", "-n", "14143"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "error: G(14143,14143) has more than 100000000 differences per witness\n"
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "bogus"])

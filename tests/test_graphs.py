@@ -1,6 +1,8 @@
 import json
 import re
+import time
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -19,8 +21,13 @@ from fourier_hadamard.graphs import (
     has_edge,
     import_json,
 )
-from fourier_hadamard.numtheory import divisors
-from fourier_hadamard.primsets import PrimitiveSet, primitive_set
+from fourier_hadamard.numtheory import divisors, modulus_context
+from fourier_hadamard.primsets import (
+    PrimitiveSet,
+    ResidueSet,
+    interned_primitive_set,
+    primitive_set,
+)
 from fourier_hadamard.sweeps import check_disjoint, check_scaling
 from record_atlas import CASES as ATLAS_CASES
 
@@ -78,6 +85,39 @@ def test_subset_guard_bounds():
                     graphs._require_enumerable(m, n)
             else:
                 graphs._require_enumerable(m, n)
+
+
+def test_difference_guard_bounds():
+    # G(m,m) has one subset, so only its n(n-1)/2 differences can refuse it:
+    # 99,991,011 at n = 14142 and 100,005,153 at n = 14143
+    graphs._require_enumerable(14142, 14142)
+    message = r"^G\(14143,14143\) has more than 100000000 differences per witness$"
+    with pytest.raises(ValueError, match=message):
+        graphs._require_enumerable(14143, 14143)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        build_graph(14143, 14143)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_least_members_match_brute_force(n):
+    # every bucket, not only the vertices: the first subset of each
+    # primitive set in lexicographic order, for m <= 30 and at most 60,000
+    # 0-containing subsets; also both facts the walk rests on, a_1 | m and
+    # one bucket when 2n > m
+    for m in range(n, 31):
+        if comb(m - 1, n - 1) > 60_000:
+            continue
+        first = {}
+        for tail in combinations(range(1, m), n - 1):
+            first.setdefault(primitive_set(ResidueSet(m, (0, *tail))), (0, *tail))
+        ctx = modulus_context(m)
+        least = graphs._least_members(ctx, n)
+        assert {interned_primitive_set(ctx, mask): w for mask, w in least.items()} == first
+        assert all(m % w[1] == 0 for w in least.values())
+        if 2 * n > m:
+            assert len(least) == 1
 
 
 def test_edge_membership():
@@ -261,8 +301,7 @@ MALFORMED = [
     (_appended("vertices", [1, 2]), "vertices: duplicate entries"),
     (_replaced("edges", value={}), "edges: expected a list"),
     (_replaced("edges", 0, value=[[1, 2]]), "edges[0]: expected a pair of vertices"),
-    (_replaced("edges", 0, value=[[1, 2], "x"]),
-     "edges[0]: edges[0][1]: expected a list of integers"),
+    (_replaced("edges", 0, value=[[1, 2], "x"]), "edges[0][1]: expected a list of integers"),
     (_replaced("edges", 0, value=[[2], [1, 2]]), "edges[0]: a primitive set always contains 1"),
     (_appended("edges", [[1, 3], [1, 2]]), "edges[2]: endpoint {1,3} is not a vertex"),
     (_appended("edges", [[1, 2], [1, 3]]), "edges[2]: endpoint {1,3} is not a vertex"),
@@ -351,7 +390,8 @@ def test_build_graph_matches_reference_beyond_atlas(case):
 
 
 def test_build_graph_matches_reference_on_g1100_1100():
-    # one subset 1100 elements deep: the enumeration must not recurse
+    # 2n > m: the one bucket and its witness (0, 1, ..., 1099) are returned
+    # without a walk, against the reference's one subset 1100 elements deep
     assert export_json(build_graph(1100, 1100)) == export_json(
         reference_builder.build_graph(1100, 1100)
     )
@@ -363,8 +403,11 @@ def test_g_m_2_matches_reference(m):
     assert export_json(build_graph(m, 2)) == export_json(reference_builder.build_graph(m, 2))
 
 
-# prefixes that share long heads and change deep down; about 3 s in all
-@pytest.mark.parametrize("m, n", [(30, 28), (40, 37), (24, 20), (26, 23), (33, 30), (20, 17)])
+# the first six have 2n > m and one bucket, read off without a walk; G(18,9)
+# and G(20,10) walk 8 and 9 elements deep; about 4 s in all
+@pytest.mark.parametrize(
+    "m, n", [(30, 28), (40, 37), (24, 20), (26, 23), (33, 30), (20, 17), (18, 9), (20, 10)]
+)
 def test_long_prefix_graphs_match_reference(m, n):
     assert export_json(build_graph(m, n)) == export_json(reference_builder.build_graph(m, n))
 
