@@ -13,19 +13,11 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from math import inf
-from pathlib import Path
 
-from .graphs import (
-    VerificationError,
-    build_graph,
-    classify_submatrix_size,
-    dominant_vertices,
-    export_dot,
-    export_json,
-)
+# the graph and sweep layers, and json, are imported by the subcommands
+# that use them, so `fhad test` and `fhad primset` never load them
 from .hadamard import (
     Decision,
     Screen,
@@ -37,7 +29,6 @@ from .hadamard import (
     screen_size_divisor,
 )
 from .primsets import ResidueSet, difference_set, primitive_set, size_divisor
-from . import sweeps
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -91,6 +82,8 @@ def cmd_primset(args) -> int:
     size_screen = screen_size_divisor(prims, len(x))
     power_screen = screen_prime_powers(args.m, prims)
     if args.format == "json":
+        import json
+
         doc = {
             "m": args.m,
             "elements": list(x.elements),
@@ -149,6 +142,8 @@ def cmd_test(args) -> int:
     else:
         verdict = is_hadamard(spec)
     if args.format == "json":
+        import json
+
         doc = {
             "m": args.m,
             "rows": list(j.elements),
@@ -168,12 +163,31 @@ def cmd_test(args) -> int:
     return EXIT_OK if verdict.decision is Decision.HADAMARD else EXIT_NEGATIVE
 
 
+def _builds_graphs(command):
+    """Run a subcommand that builds graphs, reporting a failed edge
+    re-verification as exit code 3."""
+
+    def run(args) -> int:
+        from .graphs import VerificationError
+
+        try:
+            return command(args)
+        except VerificationError as exc:
+            print(f"verification failure: {exc}", file=sys.stderr)
+            return EXIT_VERIFY
+
+    return run
+
+
+@_builds_graphs
 def cmd_graph(args) -> int:
+    from .graphs import build_graph, dominant_vertices, export_dot, export_json
+
     graph = build_graph(args.m, args.n)
-    if args.dot:
-        Path(args.dot).write_text(export_dot(graph), encoding="utf-8")
-    if args.json:
-        Path(args.json).write_text(export_json(graph), encoding="utf-8")
+    for path, export in ((args.dot, export_dot), (args.json, export_json)):
+        if path:
+            with open(path, "w", encoding="utf-8") as out:
+                out.write(export(graph))
     if not graph.vertices:
         print(
             f"G({args.m},{args.n}) is empty: no {args.n}x{args.n} Hadamard "
@@ -200,7 +214,10 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+@_builds_graphs
 def cmd_verify(args) -> int:
+    from . import sweeps
+
     failures = []
 
     def run_counts():
@@ -239,13 +256,18 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
+@_builds_graphs
 def cmd_classify(args) -> int:
+    from .graphs import classify_submatrix_size
+
     elements = _parse_elements(args.elements)
     candidates = _parse_int_list(args.m) if args.m else []
     if not candidates:
         raise ValueError("at least one candidate modulus is required (--m)")
     n = classify_submatrix_size(elements, candidates)
     if args.format == "json":
+        import json
+
         print(json.dumps({"elements": sorted(elements), "size": n}, indent=2))
         return EXIT_OK
     if n:
@@ -318,9 +340,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,7 +15,6 @@ inside the other's Z.  The exact oracle then re-checks every edge.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 from operator import or_
@@ -24,6 +23,7 @@ from .hadamard import Decision, SubmatrixSpec, is_hadamard_exact, vanishing_set
 from .numtheory import ModulusContext, modulus_context
 from .primsets import (
     PrimitiveSet,
+    Record,
     ResidueSet,
     interned_primitive_set,
     primitive_set,
@@ -60,8 +60,7 @@ class VerificationError(RuntimeError):
     """An internal consistency check failed; indicates a defect, not bad input."""
 
 
-@dataclass(frozen=True)
-class CompatGraph:
+class CompatGraph(Record):
     """Vertices, undirected edges (loops allowed), and one canonical witness
     selection per vertex.
 
@@ -69,11 +68,22 @@ class CompatGraph:
     is derived from edge existence, so isolated vertices cannot occur.
     """
 
-    m: int
-    n: int
-    vertices: frozenset[PrimitiveSet]
-    edges: frozenset[tuple[PrimitiveSet, PrimitiveSet]]
-    representatives: dict[PrimitiveSet, ResidueSet]
+    __slots__ = ("m", "n", "vertices", "edges", "representatives")
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        vertices: frozenset[PrimitiveSet],
+        edges: frozenset[tuple[PrimitiveSet, PrimitiveSet]],
+        representatives: dict[PrimitiveSet, ResidueSet],
+    ):
+        _set = object.__setattr__
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+        _set(self, "representatives", representatives)
 
 
 def build_graph(m: int, n: int) -> CompatGraph:
@@ -197,15 +207,16 @@ def _vanishing_mask(ctx: ModulusContext, k: ResidueSet) -> int:
 def _require_enumerable(m: int, n: int) -> None:
     """Raise ValueError when C(m-1, n-1) 0-containing n-subsets or the
     n(n-1)/2 differences that re-verification takes of a witness exceed
-    MAX_SUBSETS.  With k = min(n-1, m-n) the partial products
-    C(m-1-k+i, i) at least double with i and end at C(m-1, n-1), so the
-    loop stops within a few dozen steps, however large m is."""
-    k = min(n - 1, m - n)
-    count = 1
-    for i in range(1, k + 1):
-        count = count * (m - 1 - k + i) // i
-        if count > MAX_SUBSETS:
-            raise ValueError(f"G({m},{n}) has more than {MAX_SUBSETS} subsets to enumerate")
+    MAX_SUBSETS.  Subsets are counted only when 2n <= m: otherwise
+    ``_least_members`` enumerates none.  Then m - n >= n, so the partial
+    products C(m-n+i, i) at least double with i and end at C(m-1, n-1),
+    and the loop stops within a few dozen steps, however large m is."""
+    if 2 * n <= m:
+        count = 1
+        for i in range(1, n):
+            count = count * (m - n + i) // i
+            if count > MAX_SUBSETS:
+                raise ValueError(f"G({m},{n}) has more than {MAX_SUBSETS} subsets to enumerate")
     if n * (n - 1) // 2 > MAX_SUBSETS:
         raise ValueError(f"G({m},{n}) has more than {MAX_SUBSETS} differences per witness")
 

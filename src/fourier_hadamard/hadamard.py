@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import inf, prod
 from operator import mul
 
 from .numtheory import modulus_context, p_adic_extremes
-from .primsets import PrimitiveSet, ResidueSet, primitive_set, size_divisor
+from .primsets import PrimitiveSet, Record, ResidueSet, primitive_set, size_divisor
 
 __all__ = [
     "Decision",
@@ -81,43 +80,45 @@ RULES = (
 )
 
 
-@dataclass(frozen=True)
-class SubmatrixSpec:
+class SubmatrixSpec(Record):
     """Rows j and columns k selected from the m-by-m Fourier matrix.
 
     Only square selections can be Hadamard, so construction rejects a row
     set and a column set of different sizes.
     """
 
-    m: int
-    j: ResidueSet
-    k: ResidueSet
+    __slots__ = ("m", "j", "k")
 
-    def __post_init__(self):
-        if self.j.modulus != self.m or self.k.modulus != self.m:
+    def __init__(self, m: int, j: ResidueSet, k: ResidueSet):
+        if j.modulus != m or k.modulus != m:
             raise ValueError("row and column sets must share the spec's modulus")
-        if len(self.j) != len(self.k):
+        if len(j) != len(k):
             raise ValueError(
-                f"row set has {len(self.j)} elements but column set has {len(self.k)}; "
+                f"row set has {len(j)} elements but column set has {len(k)}; "
                 "Hadamard submatrices are square"
             )
+        _set = object.__setattr__
+        _set(self, "m", m)
+        _set(self, "j", j)
+        _set(self, "k", k)
 
     @classmethod
     def of(cls, m: int, j_elements, k_elements) -> "SubmatrixSpec":
         return cls(m, ResidueSet(m, tuple(j_elements)), ResidueSet(m, tuple(k_elements)))
 
 
-@dataclass(frozen=True)
-class SubmatrixVerdict:
+class SubmatrixVerdict(Record):
     """Decision plus the rule that produced it and optional witness data."""
 
-    decision: Decision
-    rule: str
-    witness: dict | None = None
+    __slots__ = ("decision", "rule", "witness")
 
-    def __post_init__(self):
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
+    def __init__(self, decision: Decision, rule: str, witness: dict | None = None):
+        if rule not in RULES:
+            raise ValueError(f"unknown rule {rule!r}")
+        _set = object.__setattr__
+        _set(self, "decision", decision)
+        _set(self, "rule", rule)
+        _set(self, "witness", witness)
 
 
 # bounded so long-lived processes stay flat; `fhad verify all` fills ~11k of it

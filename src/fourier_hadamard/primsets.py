@@ -7,7 +7,6 @@ decides which selections pair into Hadamard submatrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
 
@@ -26,24 +25,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ResidueSet:
+class Record:
+    """Read-only value record: its fields are its ``__slots__``, in order.
+
+    Equal when of one class with equal fields, hashed and shown by them;
+    subclasses set their fields through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    # every record's constructor takes its fields in order
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class ResidueSet(Record):
     """A nonempty set of distinct residues in [0, modulus)."""
 
-    modulus: int
-    elements: tuple[int, ...]
+    __slots__ = ("modulus", "elements")
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        elems = tuple(sorted(self.elements))
+    def __init__(self, modulus: int, elements: tuple[int, ...]):
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        elems = tuple(sorted(elements))
         if not elems:
             raise ValueError("residue set must be nonempty")
         if len(set(elems)) != len(elems):
             raise ValueError(f"duplicate residues in {elems}")
-        if elems[0] < 0 or elems[-1] >= self.modulus:
-            raise ValueError(f"residues {elems} out of range for modulus {self.modulus}")
-        object.__setattr__(self, "elements", elems)
+        if elems[0] < 0 or elems[-1] >= modulus:
+            raise ValueError(f"residues {elems} out of range for modulus {modulus}")
+        _set = object.__setattr__
+        _set(self, "modulus", modulus)
+        _set(self, "elements", elems)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -23,7 +23,7 @@ from itertools import combinations
 from .graphs import build_graph
 from .hadamard import Decision, decide_2x2_general, decide_3x3, vanishing_set
 from .numtheory import modulus_context, p_adic_extremes
-from .primsets import ResidueSet, difference_set, primitive_set
+from .primsets import ResidueSet, primitive_set
 
 __all__ = [
     "check_counts_power_of_two",
@@ -136,7 +136,8 @@ def compprop_violation(x: ResidueSet) -> dict | None:
     """
     m = x.modulus
     prims = primitive_set(x).without_one()
-    diffs = sorted(d for d in difference_set(x) if d)
+    # D = -D, so its positive half has the same p-adic extremes
+    diffs = [b - a for a, b in combinations(x.elements, 2)]
     for p, e in modulus_context(m).factorization:
         lo_p, hi_p = p_adic_extremes(p, prims)
         lo_d, hi_d = p_adic_extremes(p, diffs)

@@ -8,7 +8,9 @@ import time
 import pytest
 
 import fourier_hadamard
+import reference_builder
 from fourier_hadamard.cli import main
+from fourier_hadamard.graphs import export_json
 from fourier_hadamard.numtheory import divisors
 
 
@@ -334,6 +336,31 @@ def test_huge_difference_count_refused(capsys):
     assert err == "error: G(14143,14143) has more than 100000000 differences per witness\n"
 
 
+def test_graph_with_2n_above_m_is_read_off(capsys, tmp_path):
+    # C(59,39) subsets contain 0, but with 2n > m there is one bucket and
+    # nothing is enumerated, so the subset count does not refuse the graph
+    export = tmp_path / "g.json"
+    start = time.perf_counter()
+    code, out, err = run(["graph", "-m", "60", "-n", "40", "--json", str(export)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert out == "G(60,40) is empty: no 40x40 Hadamard submatrix of F_60 exists\n"
+    assert export.read_text(encoding="utf-8") == (
+        '{"format":"compatgraph/1","m":60,"n":40,"vertices":[],"edges":[],'
+        '"representatives":{}}\n'
+    )
+
+
+@pytest.mark.parametrize("m, n", [(16, 9), (15, 14), (12, 12)])
+def test_graph_with_2n_above_m_matches_reference(capsys, tmp_path, m, n):
+    # small enough for the reference builder to enumerate every subset
+    export = tmp_path / "g.json"
+    code, _, err = run(["graph", "-m", str(m), "-n", str(n), "--json", str(export)], capsys)
+    assert code == 0 and err == ""
+    expected = export_json(reference_builder.build_graph(m, n))
+    assert export.read_text(encoding="utf-8") == expected
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "bogus"])
@@ -393,3 +420,72 @@ def test_package_loads_only_the_standard_library():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+# runs ``main`` on sys.argv[1:] in a fresh interpreter, then prints which of
+# the modules named in the environment it loaded; -S keeps site's .pth
+# hooks from loading any of them first
+FOOTPRINT_PROBE = """
+import os, sys
+before = set(sys.modules)
+from fourier_hadamard.cli import main
+main(sys.argv[1:])
+watched = os.environ["WATCHED"].split()
+print(sorted(set(watched) & set(sys.modules) - before))
+"""
+
+LAYERS = ["fourier_hadamard.graphs", "fourier_hadamard.sweeps"]
+DATACLASSES = ["dataclasses", "inspect"]
+
+
+def run_probe(probe, argv, env):
+    src = os.path.dirname(os.path.dirname(fourier_hadamard.__file__))
+    return subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv],
+        env={**os.environ, "PYTHONPATH": src, **env},
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["test", "-m", "5040", "-J", "0,1,2,3,4,5",
+          "-K", "0,840,1680,2520,3360,4200"], LAYERS + DATACLASSES),
+        (["test", "-m", "12", "-J", "0,4,8", "-K", "0,1,2", "--format", "json"],
+         LAYERS + DATACLASSES),
+        (["primset", "-m", "6000", "0,5,375"], LAYERS + DATACLASSES + ["json"]),
+        (["primset", "-m", "6000", "0,5,375", "--json"], LAYERS + DATACLASSES),
+        (["graph", "-m", "12", "-n", "3"], DATACLASSES),
+        (["classify", "1,3", "--m", "12"], DATACLASSES),
+        (["verify", "counts2q"], DATACLASSES),
+    ],
+)
+def test_subcommands_load_only_their_layers(argv, unloaded):
+    out = run_probe(FOOTPRINT_PROBE, argv, {"WATCHED": " ".join(unloaded)})
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_package_resolves_its_names_on_first_use():
+    probe = textwrap.dedent("""
+        import sys
+        from importlib import import_module
+        import fourier_hadamard
+        print(sorted(m for m in sys.modules if m.startswith("fourier_hadamard.")))
+        for name in fourier_hadamard.__all__:
+            homes = [
+                import_module(f"fourier_hadamard.{layer}")
+                for layer in ("numtheory", "primsets", "hadamard", "graphs")
+            ]
+            (home,) = [h for h in homes if name in h.__all__]
+            assert getattr(fourier_hadamard, name) is getattr(home, name), name
+        try:
+            fourier_hadamard.no_such_name
+        except AttributeError as exc:
+            print(exc)
+    """)
+    out = run_probe(probe, [], {})
+    assert out.splitlines() == [
+        "[]",
+        "module 'fourier_hadamard' has no attribute 'no_such_name'",
+    ]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from itertools import combinations
@@ -6,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourier_hadamard import numtheory
+from fourier_hadamard.graphs import CompatGraph
+from fourier_hadamard.hadamard import Decision, SubmatrixSpec, SubmatrixVerdict
 from fourier_hadamard.numtheory import modulus_context
 from fourier_hadamard.primsets import (
     PrimitiveSet,
@@ -20,6 +24,67 @@ from fourier_hadamard.primsets import (
 from fourier_hadamard.sweeps import compprop_violation
 
 import primitive_set_reference as reference
+
+
+def _records():
+    """(record, an equal record, one differing in a field, repr) for each
+    record class."""
+    two = PrimitiveSet((1, 2))
+    pair = ResidueSet(2, (0, 1))
+
+    def graph(rep):
+        return CompatGraph(2, 2, frozenset({two}), frozenset({(two, two)}), {two: rep})
+
+    return [
+        (ResidueSet(6, (3, 0)), ResidueSet(6, (0, 3)), ResidueSet(6, (0, 2)),
+         "ResidueSet(modulus=6, elements=(0, 3))"),
+        (SubmatrixSpec.of(4, (0, 1), (0, 2)), SubmatrixSpec.of(4, (1, 0), (0, 2)),
+         SubmatrixSpec.of(4, (0, 1), (0, 3)),
+         "SubmatrixSpec(m=4, j=ResidueSet(modulus=4, elements=(0, 1)), "
+         "k=ResidueSet(modulus=4, elements=(0, 2)))"),
+        (SubmatrixVerdict(Decision.HADAMARD, "exact"),
+         SubmatrixVerdict(Decision.HADAMARD, "exact", None),
+         SubmatrixVerdict(Decision.NOT_HADAMARD, "exact"),
+         "SubmatrixVerdict(decision=<Decision.HADAMARD: 'hadamard'>, rule='exact', "
+         "witness=None)"),
+        (graph(pair), graph(ResidueSet(2, (1, 0))), graph(ResidueSet(2, (1,))),
+         "CompatGraph(m=2, n=2, vertices=frozenset({PrimitiveSet([1, 2])}), "
+         "edges=frozenset({(PrimitiveSet([1, 2]), PrimitiveSet([1, 2]))}), "
+         "representatives={PrimitiveSet([1, 2]): ResidueSet(modulus=2, elements=(0, 1))})"),
+    ]
+
+
+FIELDS = {
+    "ResidueSet": ("modulus", "elements"),
+    "SubmatrixSpec": ("m", "j", "k"),
+    "SubmatrixVerdict": ("decision", "rule", "witness"),
+    "CompatGraph": ("m", "n", "vertices", "edges", "representatives"),
+}
+
+
+@pytest.mark.parametrize("record, equal, other, text", _records())
+def test_records_are_read_only_values(record, equal, other, text):
+    assert repr(record) == text
+    assert record == equal and record is not equal
+    assert record != other and not record == other
+    # equal fields in another class do not make an equal record
+    fields = FIELDS[type(record).__name__]
+    assert record != tuple(getattr(record, f) for f in fields)
+    if isinstance(record, CompatGraph):
+        with pytest.raises(TypeError):
+            hash(record)  # its representatives are a dict
+    else:
+        assert hash(record) == hash(equal)
+        assert len({record, equal, other}) == 2
+    for field in fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record) == text
+    assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
 
 
 def random_residue_set(rng, m_max=200, size_max=6):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -7,8 +6,13 @@ from hypothesis import given, settings, strategies as st
 import sweep_reference as reference
 from fourier_hadamard import graphs, sweeps
 from fourier_hadamard.cli import main
-from fourier_hadamard.graphs import build_graph, classify_submatrix_size
-from fourier_hadamard.hadamard import Decision, decide_2x2_general, decide_3x3
+from fourier_hadamard.graphs import CompatGraph, build_graph, classify_submatrix_size
+from fourier_hadamard.hadamard import (
+    Decision,
+    SubmatrixVerdict,
+    decide_2x2_general,
+    decide_3x3,
+)
 from fourier_hadamard.numtheory import divisors
 from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, difference_set, primitive_set
 
@@ -24,7 +28,9 @@ def counting(monkeypatch, module, plant=()):
         calls.append((m, n))
         graph = build_graph(m, n)
         if (m, n) in plant:
-            graph = replace(graph, vertices=graph.vertices | {PLANTED})
+            graph = CompatGraph(
+                m, n, graph.vertices | {PLANTED}, graph.edges, graph.representatives
+            )
         return graph
 
     monkeypatch.setattr(module, "build_graph", wrapped)
@@ -125,7 +131,7 @@ def flip_one_verdict(monkeypatch, name, m, j, k):
                 if verdict.decision is Decision.HADAMARD
                 else Decision.HADAMARD
             )
-            verdict = replace(verdict, decision=flipped)
+            verdict = SubmatrixVerdict(flipped, verdict.rule, verdict.witness)
         return verdict
 
     monkeypatch.setattr(sweeps, name, planted)
