@@ -220,6 +220,11 @@ def cmd_verify(args) -> int:
 
     failures = []
 
+    def m_max(default: int) -> int:
+        # a suite's default bound applies only when --m-max is absent, so
+        # --m-max 0 sweeps nothing and is refused like any empty bound
+        return default if args.m_max is None else args.m_max
+
     def run_counts():
         rows, bad = sweeps.check_counts_power_of_two(args.q_max)
         for q, nv, ne in rows:
@@ -227,7 +232,7 @@ def cmd_verify(args) -> int:
         return bad
 
     def run_disjoint():
-        m_values = [args.m] if args.m is not None else list(range(2, (args.m_max or 24) + 1))
+        m_values = [args.m] if args.m is not None else list(range(2, m_max(24) + 1))
         n_values = _parse_int_list(args.n) if args.n else list(range(1, args.n_max + 1))
         bad = sweeps.check_disjoint(m_values, n_values)
         # printed once the sweep has accepted its bounds: a refused one prints nothing
@@ -235,13 +240,11 @@ def cmd_verify(args) -> int:
         return bad
 
     suite_runners = {
-        "compprop": lambda: sweeps.check_compprop(
-            m_max=args.m_max or 20, samples=args.samples
-        ),
+        "compprop": lambda: sweeps.check_compprop(m_max(20), args.samples),
         "disjoint": run_disjoint,
-        "scaling": lambda: sweeps.check_scaling(args.m_max or 12, args.v_max, args.n_max),
-        "oracle2": lambda: sweeps.check_oracle_2x2(args.m_max or 48),
-        "oracle3": lambda: sweeps.check_oracle_3x3(args.m_max or 30),
+        "scaling": lambda: sweeps.check_scaling(m_max(12), args.v_max, args.n_max),
+        "oracle2": lambda: sweeps.check_oracle_2x2(m_max(48)),
+        "oracle3": lambda: sweeps.check_oracle_3x3(m_max(30)),
         "counts2q": run_counts,
     }
     names = list(suite_runners) if args.suite == "all" else [args.suite]
@@ -319,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("compprop", "disjoint", "scaling", "oracle2", "oracle3", "counts2q", "all"),
     )
     p_verify.add_argument("-m", type=int, help="single modulus (disjoint)")
-    p_verify.add_argument("--m-max", type=nonnegative_int, default=0, help="modulus sweep bound")
+    p_verify.add_argument("--m-max", type=nonnegative_int, help="modulus sweep bound")
     p_verify.add_argument("--n", help="comma-separated sizes (disjoint)")
     p_verify.add_argument("--n-max", type=nonnegative_int, default=4, help="size sweep bound")
     p_verify.add_argument("--v-max", type=nonnegative_int, default=3, help="scale factor bound")

@@ -6,21 +6,23 @@ Fourier matrix, and an edge (loops allowed) between two primitive sets
 whenever some Hadamard submatrix realizes them together.  H_(J,K) is
 Hadamard exactly when P(J) minus {1} is a subset of Z(K), the orders s > 1
 at which K(z) vanishes, so the builder works on divisor bitmasks: it
-enumerates the 0-containing subsets once, keeps the least subset of each
-primitive-set mask as the bucket's witness, computes Z of each witness once
-as a mask over the same bits, and draws an edge wherever one mask lies
-inside the other's Z.  The exact oracle then re-checks every edge.
+enumerates the 0-containing subsets once, leaving out those whose mask
+fails the size-divisor or the Lam-Leung screen (no such subset is on an
+edge), keeps the least subset of each primitive-set mask as the bucket's
+witness, computes Z of each witness once as a mask over the same bits, and
+draws an edge wherever one mask lies inside the other's Z.  The exact
+oracle then re-checks every edge.
 """
 
 from __future__ import annotations
 
 import json
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
 
 from .hadamard import Decision, SubmatrixSpec, is_hadamard_exact, vanishing_set
-from .numtheory import ModulusContext, modulus_context
+from .numtheory import ModulusContext, is_prime_sum, modulus_context, p_adic_order
 from .primsets import (
     PrimitiveSet,
     Record,
@@ -47,8 +49,9 @@ JSON_FORMAT = "compatgraph/1"
 
 # build_graph refuses more 0-containing subsets than this, or more
 # differences in one witness; the walk visits only subsets whose second
-# element divides m (G(60,7): 27,321,337 of 45,057,474, built in 10 s on a
-# 2-core machine), and G(m,2) and G(m,n) with 2n > m enumerate nothing
+# element divides m and whose prefixes pass the screens (G(60,7) has
+# 45,057,474 subsets and none to walk, G(60,6) builds in 0.4 s on a 2-core
+# machine), and G(m,2) and G(m,n) with 2n > m enumerate nothing
 MAX_SUBSETS = 10**8
 
 
@@ -94,7 +97,9 @@ def build_graph(m: int, n: int) -> CompatGraph:
     the divisor bitmasks of their primitive sets (for n = 2, read off the
     divisors of m), keeps the lexicographically least subset of each mask
     as the bucket's witness, and computes Z of each witness once as a
-    mask.  Buckets p <= q are joined iff the mask of p lies inside Z(q),
+    mask.  Only masks that pass two necessary conditions for lying on an
+    edge (see ``_screen``) are walked and kept, so no other bucket is built
+    or has its Z computed.  Buckets p <= q are joined iff the mask of p lies inside Z(q),
     and the vertices are the buckets on an edge.  Every edge is then
     re-checked by the exact oracle; a failure raises VerificationError.
     More than MAX_SUBSETS subsets or witness differences raise ValueError
@@ -140,7 +145,8 @@ def build_graph(m: int, n: int) -> CompatGraph:
 
 def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
     """The lexicographically least 0-containing n-subset of each primitive-set
-    mask that the n-subsets of {0..m-1} realize, keyed by mask.
+    mask that the n-subsets of {0..m-1} realize and that passes the screens
+    of ``_screen``, keyed by mask.
 
     For n = 2 the mask of {0, d} is the bit of gcd(m, d), so each divisor
     g < m is one bucket and {0, g} its least member.  For n >= 3, table[d]
@@ -151,26 +157,39 @@ def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
     least member (0, a_1, ...) of a bucket has a_1 | m: some unit u has
     u * a_1 = g = gcd(m, a_1) (lift the unit a_1 / g mod m / g and invert
     it), multiplying by u keeps every gcd(m, b - a), and u * x holds 0 and
-    g, so it would be smaller if g < a_1.  So a_1 runs over the divisors of
-    m below m, and the walk extends each path depth first: near[c - lo],
-    lo = path[-1] + 1, is the mask of path + (c,), so that of
-    path + (c, c') is near[c - lo] | near[c' - lo] | table[c' - c].  At
-    n - 1 elements near holds whole subsets' masks, searched only for masks
-    not seen before.  The recursion is n - 1 deep and memory O(n m).
+    g, so it would be smaller if g < a_1.  Nor does it hold m - 1: then
+    x + 1 mod m holds 0 and 1 and has the same mask, and it is smaller,
+    since if x starts 0, 1, ..., j - 1, a_j with a_j > j, then x + 1 starts
+    0, 1, ..., j, and if x is 0, 1, ..., n - 2, m - 1, then x + 1 is
+    0, 1, ..., n - 1, where n - 1 < m - 1.  So a_1 runs over the divisors of
+    m below m, every element stays below m - 1, and the walk extends each
+    path depth first: near[c - lo], lo = path[-1] + 1, is the mask of
+    path + (c,), so that of path + (c, c') is
+    near[c - lo] | near[c' - lo] | table[c' - c].  A prefix's mask is
+    contained in the mask of every extension, and a screen failed by a mask
+    is failed by every mask holding it, so a prefix that fails is not
+    extended: no mask that passes loses a member, and the least member of
+    each keeps every prefix.  At n - 1 elements near holds whole subsets'
+    masks, searched only for masks not seen before; the ones that fail are
+    dropped at the end.  The recursion is n - 1 deep and memory O(n m).
     """
     m = ctx.m
     if n == 1:
         return {0: (0,)}
     bit = ctx.bit
     if n == 2:
-        return {bit.get(g) or ctx.add_bit(g): (0, g) for g in ctx.divisors[:-1]}
+        least = {bit.get(g) or ctx.add_bit(g): (0, g) for g in ctx.divisors[:-1]}
+        passes = _screen(ctx, n)
+        return {mask: w for mask, w in least.items() if passes(mask)}
     table = [0] * m
     for d in range(1, m):
         g = gcd(m, d)
         table[d] = bit.get(g) or ctx.add_bit(g)
+    passes = _screen(ctx, n)
     if 2 * n > m:
-        return {reduce(or_, table): tuple(range(n))}
-    least: dict[int, tuple[int, ...]] = {}
+        mask = reduce(or_, table)
+        return {mask: tuple(range(n))} if passes(mask) else {}
+    least = {}
 
     def walk(path: tuple[int, ...], near: list[int]) -> None:
         lo = path[-1] + 1
@@ -183,16 +202,52 @@ def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
                         if not fresh:
                             break
             return
-        # c leaves room for the n - 1 - len(path) elements after it
-        for c in range(lo, m - n + len(path) + 1):
+        # c leaves room for the n - 1 - len(path) elements after it, the
+        # last of them at most m - 2
+        for c in range(lo, m - n + len(path)):
             j = c - lo
-            row = map(or_, near[j + 1 :], table[1 : m - c])
-            walk((*path, c), list(map(near[j].__or__, row)))
+            if passes(near[j]):
+                row = map(or_, near[j + 1 :], table[1 : m - 1 - c])
+                walk((*path, c), list(map(near[j].__or__, row)))
 
     for t in ctx.divisors[:-1]:
-        row = map(or_, table[t + 1 :], table[1 : m - t])
-        walk((0, t), list(map(table[t].__or__, row)))
-    return least
+        if passes(table[t]):
+            row = map(or_, table[t + 1 : m - 1], table[1 : m - 1 - t])
+            walk((0, t), list(map(table[t].__or__, row)))
+    return {mask: w for mask, w in least.items() if passes(mask)}
+
+
+def _screen(ctx: ModulusContext, n: int):
+    """The test that the primitive-set mask of a bucket of G(m,n) passes
+    whenever the bucket can lie on an edge, as a function of the mask; every
+    bit of m's context must be assigned first.
+
+    H_(K,J) is the transpose of H_(J,K), so both ends of an edge are row
+    sets J of n-by-n Hadamard submatrices, and every s in P(J) minus {1} is
+    then in Z(K) for some n-subset K.  Two facts follow:
+    - K(zeta_s) = 0 is a vanishing sum of n s-th roots of unity, so n is a
+      sum of primes of s (Lam and Leung; ``is_prime_sum``);
+    - the size divisor C(P(J)), the product of p over the powers p^a in
+      P(J), divides n, so at most ord_p(n) orders p^a are in P(J).
+    A mask with a bit that fails the first, or with more than ord_p(n) bits
+    of powers of p, fails.  Adding bits never passes a failing mask.
+    """
+    forbidden = 0
+    powers: dict[int, int] = {}
+    for i, s in enumerate(ctx.orders):
+        primes = ctx.primes_of(s)
+        if not is_prime_sum(n, primes):
+            forbidden |= 1 << i
+        elif len(primes) == 1:
+            powers[primes[0]] = powers.get(primes[0], 0) | 1 << i
+    caps = [(mask, p_adic_order(p, n)) for p, mask in powers.items()]
+
+    # a walk asks about the same few hundred masks many times over
+    @lru_cache(maxsize=None)
+    def passes(mask: int) -> bool:
+        return not mask & forbidden and all((mask & pp).bit_count() <= cap for pp, cap in caps)
+
+    return passes
 
 
 def _vanishing_mask(ctx: ModulusContext, k: ResidueSet) -> int:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import inf, prod
 from operator import mul
 
-from .numtheory import modulus_context, p_adic_extremes
+from .numtheory import is_prime_sum, modulus_context, p_adic_extremes
 from .primsets import PrimitiveSet, Record, ResidueSet, primitive_set, size_divisor
 
 __all__ = [
@@ -134,16 +134,22 @@ def _cyclotomic_divides(s: int, exponents: tuple[int, ...], primes: tuple[int, .
     zeta_s^t = zeta_r and 1, zeta_s, ..., zeta_s^(t-1) are a basis of
     Q(zeta_s) over Q(zeta_r), so the sum vanishes iff, in every class of
     exponents mod t, the terms zeta_r^(e div t) add up to 0 (e div t need
-    not be below r: the split by primes reduces it).  No polynomial
-    is built; the cost depends on the number of exponents and of primes of
-    s, not on s.
+    not be below r: the split by primes reduces it).  A class is a sum of
+    as many r-th roots of unity as it has exponents, so by Lam and Leung it
+    can vanish only when that weight is a sum of the primes of s; the
+    weights add up to |exponents|, so an order at which no sum of that many
+    roots vanishes fails here too.  No polynomial is built; the cost
+    depends on the number of exponents and of primes of s, not on s.
     """
     t = s // prod(primes)
     classes: dict[int, dict[int, int]] = {}
     for e in exponents:
         terms = classes.setdefault(e % t, {})
         terms[e // t] = terms.get(e // t, 0) + 1
-    return all(_root_sum_vanishes(terms, primes) for terms in classes.values())
+    return all(
+        is_prime_sum(sum(terms.values()), primes) and _root_sum_vanishes(terms, primes)
+        for terms in classes.values()
+    )
 
 
 def _root_sum_vanishes(terms: dict[int, int], primes: tuple[int, ...]) -> bool:
@@ -190,13 +196,16 @@ def vanishing_set(k: ResidueSet) -> frozenset[int]:
     row set of the same size, H_(J,K) is Hadamard iff P(J) minus {1} is a
     subset of Z(K).  Computing Z(K) once lets every row set be tested
     against K by one set inclusion.  The divisors of m and their primes come
-    from m's context.
+    from m's context.  An order s is decided only when |K| is a sum of the
+    primes of s: otherwise no sum of |K| s-th roots of unity vanishes (Lam
+    and Leung), and s is left out without a call to the memoized test.
     """
     ctx = modulus_context(k.modulus)
     return frozenset(
         s
         for s in ctx.divisors[1:]
-        if _cyclotomic_divides(s, k.elements, ctx.primes_of(s))
+        if is_prime_sum(len(k), ctx.primes_of(s))
+        and _cyclotomic_divides(s, k.elements, ctx.primes_of(s))
     )
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "p_adic_order",
     "p_adic_extremes",
     "cyclotomic_at_one",
+    "is_prime_sum",
     "ModulusContext",
     "modulus_context",
 ]
@@ -113,6 +114,27 @@ def cyclotomic_at_one(s: int) -> int:
         return 0
     primes = modulus_context(s).primes
     return primes[0] if len(primes) == 1 else 1
+
+
+# keyed by (weight, primes of an order); the weights are selection sizes
+# and their classes, so a process meets few of them
+@lru_cache(maxsize=4096)
+def is_prime_sum(w: int, primes: tuple[int, ...]) -> bool:
+    """Whether w >= 0 is a sum of the given primes, each taken any number of
+    times (0 is the empty sum).
+
+    Lam and Leung (J. Algebra 224, 2000): a sum of w s-th roots of unity,
+    repeats allowed, can vanish only if w is such a sum of the primes of s.
+    """
+    within = (1 << (w + 1)) - 1
+    sums = 1  # bit v is set when v is a sum
+    for p in primes:
+        # shifting by p, 2p, 4p, ... adds every multiple of p up to w
+        step = p
+        while step <= w:
+            sums = (sums | sums << step) & within
+            step <<= 1
+    return bool(sums >> w & 1)
 
 
 class ModulusContext:

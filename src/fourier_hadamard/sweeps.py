@@ -162,8 +162,8 @@ def compprop_violation(x: ResidueSet) -> dict | None:
 
 def check_compprop(m_max: int, samples: int) -> dict | None:
     """Exhaustive sweep over moduli up to m_max and sizes 2..4, then
-    `samples` random cases with moduli above m_max up to 5000 and sizes up
-    to 8, drawn from a fixed seed.
+    `samples` random cases with moduli from max(m_max + 1, 2) to 5000 and
+    sizes up to 8, drawn from a fixed seed.
 
     The exhaustive part checks the 0-containing subsets only.  Whether x
     violates a bound depends only on m and its integer differences, which
@@ -181,7 +181,8 @@ def check_compprop(m_max: int, samples: int) -> dict | None:
                     return bad
     rng = random.Random(20260810)
     for _ in range(samples):
-        m = rng.randint(m_max + 1, 5000)
+        # a modulus of 1 has no 2-subset to draw
+        m = rng.randint(max(m_max + 1, 2), 5000)
         size = rng.randint(2, min(8, m))
         elems = tuple(rng.sample(range(m), size))
         bad = compprop_violation(ResidueSet(m, elems))

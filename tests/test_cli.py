@@ -209,7 +209,8 @@ def test_graph_verification_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr("fourier_hadamard.graphs.vanishing_set", everything)
     code, out, err = run(["graph", "-m", "6", "-n", "2"], capsys)
     assert code == 3 and out == ""
-    assert err.startswith("verification failure: edge {1,2} -- {1,3} of G(6,2)")
+    # {1,3} is screened out before the pair phase; {0,1} is not Hadamard with itself
+    assert err.startswith("verification failure: edge {1,6} -- {1,6} of G(6,2)")
 
 
 @pytest.mark.parametrize(
@@ -260,6 +261,12 @@ def test_verify_negative_bound_exits_2(capsys, argv):
         ["disjoint", "-m", "0"],
         ["disjoint", "-m", "-3"],
         ["compprop", "--m-max", "1", "--samples", "0"],
+        # --m-max 0 is a bound, not a request for the suite's default
+        ["oracle2", "--m-max", "0"],
+        ["oracle3", "--m-max", "0"],
+        ["scaling", "--m-max", "0"],
+        ["disjoint", "--m-max", "0"],
+        ["compprop", "--m-max", "0", "--samples", "0"],
     ],
 )
 def test_verify_bounds_selecting_no_case_exit_2(capsys, argv):
@@ -286,6 +293,13 @@ def test_refused_disjoint_sweep_prints_nothing(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_verify_compprop_samples_only(capsys):
+    # with --m-max 0 only the samples run, drawn from moduli 2..5000; a draw
+    # from 1..5000 would reach m = 1, which has no 2-subset, at sample 1842
+    code, out, err = run(["verify", "compprop", "--m-max", "0", "--samples", "2000"], capsys)
+    assert (code, out, err) == (0, "suite compprop: pass\n", "")
 
 
 def test_verify_suites(capsys):

@@ -2,6 +2,7 @@ import json
 import re
 import time
 import tracemalloc
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -21,7 +22,8 @@ from fourier_hadamard.graphs import (
     has_edge,
     import_json,
 )
-from fourier_hadamard.numtheory import divisors, modulus_context
+from fourier_hadamard.hadamard import Screen, screen_size_divisor
+from fourier_hadamard.numtheory import divisors, factorize, modulus_context
 from fourier_hadamard.primsets import (
     PrimitiveSet,
     ResidueSet,
@@ -102,12 +104,29 @@ def test_difference_guard_bounds():
     assert time.perf_counter() - start < 1
 
 
+@lru_cache(maxsize=None)
+def _is_prime_sum(w, primes):
+    return w == 0 or any(p <= w and _is_prime_sum(w - p, primes) for p in primes)
+
+
+def _passes_screens(prims, n):
+    # the paper's size-divisor screen, and Lam and Leung: a vanishing sum of
+    # n s-th roots of unity needs n to be a sum of primes of s
+    if screen_size_divisor(prims, n) is Screen.RULED_OUT:
+        return False
+    return all(
+        _is_prime_sum(n, tuple(p for p, _ in factorize(s))) for s in prims.without_one()
+    )
+
+
 @pytest.mark.parametrize("n", range(3, 7))
 def test_least_members_match_brute_force(n):
-    # every bucket, not only the vertices: the first subset of each
-    # primitive set in lexicographic order, for m <= 30 and at most 60,000
-    # 0-containing subsets; also both facts the walk rests on, a_1 | m and
-    # one bucket when 2n > m
+    # every bucket that passes the screens, not only the vertices: the first
+    # subset of each such primitive set in lexicographic order, for m <= 30
+    # and at most 60,000 0-containing subsets; also the facts the walk rests
+    # on, for every bucket: a_1 | m, and one bucket when 2n > m and none
+    # holding m - 1 otherwise
+    dropped = 0
     for m in range(n, 31):
         if comb(m - 1, n - 1) > 60_000:
             continue
@@ -116,10 +135,26 @@ def test_least_members_match_brute_force(n):
             first.setdefault(primitive_set(ResidueSet(m, (0, *tail))), (0, *tail))
         ctx = modulus_context(m)
         least = graphs._least_members(ctx, n)
-        assert {interned_primitive_set(ctx, mask): w for mask, w in least.items()} == first
-        assert all(m % w[1] == 0 for w in least.values())
+        screened = {p: w for p, w in first.items() if _passes_screens(p, n)}
+        assert {interned_primitive_set(ctx, mask): w for mask, w in least.items()} == screened
+        dropped += len(first) - len(screened)
+        assert all(m % w[1] == 0 for w in first.values())
         if 2 * n > m:
-            assert len(least) == 1
+            assert len(first) == 1
+        else:
+            assert all(m - 1 not in w for w in first.values())
+    assert dropped  # the screens leave out some buckets of every size here
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_screened_out_buckets_are_not_vertices(n):
+    # the two theorems behind the screens, against the unpruned reference:
+    # over the range above, every vertex passes both
+    for m in range(n, 31):
+        if comb(m - 1, n - 1) > 60_000:
+            continue
+        for v in reference_builder.build_graph(m, n).vertices:
+            assert _passes_screens(v, n), (m, n, v)
 
 
 def test_edge_membership():
@@ -359,14 +394,16 @@ def test_build_graph_reverification_catches_wrong_edges(monkeypatch):
         return frozenset(divisors(k.modulus)[1:])
 
     monkeypatch.setattr(graphs, "vanishing_set", everything)
+    # {1,3} is screened out (3 does not divide 2), so {1,2} and {1,6} are
+    # the buckets; {0,1} with itself is the first edge that is not Hadamard
     with pytest.raises(
         VerificationError,
-        match=r"^edge \{1,2\} -- \{1,3\} of G\(6,2\) failed exact re-verification$",
+        match=r"^edge \{1,6\} -- \{1,6\} of G\(6,2\) failed exact re-verification$",
     ):
         build_graph(6, 2)
 
 
-# Every (m, n) with m <= 60 and n <= 6 that the atlas does not pin, as long
+# Every (m, n) with m <= 60 and n <= 8 that the atlas does not pin, as long
 # as it has at most 60,000 0-containing subsets, by n: the reference builder
 # takes about 0.4 s at that size.
 BEYOND_ATLAS = {
@@ -375,20 +412,35 @@ BEYOND_ATLAS = {
         for m in range(n, 61)
         if (m, n) not in ATLAS_CASES and comb(m - 1, n - 1) <= 60_000
     ]
-    for n in range(1, 7)
+    for n in range(1, 9)
 }
 
 
-# 60 derandomized draws, n uniform in 1..6 (m up to 37 for n = 5 and 25 for
-# n = 6), about 4 s in all on a 2-core machine
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.integers(1, 6).flatmap(
+# 80 derandomized draws, n uniform in 1..8 (m up to 37 for n = 5, 25 for
+# n = 6, 22 for n = 7 and 20 for n = 8)
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(
     lambda n: st.tuples(st.sampled_from(BEYOND_ATLAS[n]), st.just(n))))
 def test_build_graph_matches_reference_beyond_atlas(case):
     m, n = case
     assert export_json(build_graph(m, n)) == export_json(
         reference_builder.build_graph(m, n)
     )
+
+
+@pytest.mark.parametrize("m, n", [(60, 7), (30, 14)])
+def test_screened_graphs_past_the_walk_are_empty(m, n):
+    # the unscreened walk took about 11 s for G(60,7) and 100 s for
+    # G(30,14) on a 2-core machine to print these bytes; the screens leave
+    # nothing to walk
+    start = time.perf_counter()
+    graph = build_graph(m, n)
+    assert time.perf_counter() - start < 2
+    assert export_json(graph) == (
+        f'{{"format":"compatgraph/1","m":{m},"n":{n},'
+        '"vertices":[],"edges":[],"representatives":{}}\n'
+    )
+    assert export_dot(graph) == f'graph "G({m},{n})" {{\n}}\n'
 
 
 def test_build_graph_matches_reference_on_g1100_1100():

@@ -8,6 +8,7 @@ from fourier_hadamard.numtheory import (
     divisors,
     factorize,
     gcd,
+    is_prime_sum,
     p_adic_extremes,
     p_adic_order,
 )
@@ -148,6 +149,24 @@ def test_cyclotomic_at_one():
     assert cyclotomic_at_one(3) == 3
     assert cyclotomic_at_one(49) == 7
     assert cyclotomic_at_one(6) == 1
+
+
+@pytest.mark.parametrize(
+    "primes", [(), (2,), (3,), (2, 3), (2, 5), (3, 5), (5, 7), (3, 5, 7), (7, 11, 13)]
+)
+def test_is_prime_sum_matches_enumerated_sums(primes):
+    sums = {0}
+    for p in primes:
+        sums = {a + k * p for a in sums for k in range(100 // p + 1)}
+    for w in range(101):
+        assert is_prime_sum(w, primes) is (w in sums), (w, primes)
+
+
+def test_is_prime_sum_large_weights():
+    assert is_prime_sum(14142, (2,)) and not is_prime_sum(14143, (2,))
+    # 3a + 5b reaches every w >= 8; the largest w that 7a + 11b misses is 59
+    assert is_prime_sum(10**4 + 1, (3, 5)) and not is_prime_sum(7, (3, 5))
+    assert not is_prime_sum(59, (7, 11)) and all(is_prime_sum(w, (7, 11)) for w in range(60, 200))
 
 
 def test_cyclotomic_value_at_one_agrees():
