@@ -22,6 +22,7 @@ from .hadamard import (
     Decision,
     Screen,
     SubmatrixSpec,
+    VerificationError,
     is_hadamard,
     is_hadamard_exact,
     is_hadamard_numeric,
@@ -163,23 +164,6 @@ def cmd_test(args) -> int:
     return EXIT_OK if verdict.decision is Decision.HADAMARD else EXIT_NEGATIVE
 
 
-def _builds_graphs(command):
-    """Run a subcommand that builds graphs, reporting a failed edge
-    re-verification as exit code 3."""
-
-    def run(args) -> int:
-        from .graphs import VerificationError
-
-        try:
-            return command(args)
-        except VerificationError as exc:
-            print(f"verification failure: {exc}", file=sys.stderr)
-            return EXIT_VERIFY
-
-    return run
-
-
-@_builds_graphs
 def cmd_graph(args) -> int:
     from .graphs import build_graph, dominant_vertices, export_dot, export_json
 
@@ -214,7 +198,6 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-@_builds_graphs
 def cmd_verify(args) -> int:
     from . import sweeps
 
@@ -259,7 +242,6 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
-@_builds_graphs
 def cmd_classify(args) -> int:
     from .graphs import classify_submatrix_size
 
@@ -346,6 +328,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except VerificationError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE

@@ -21,8 +21,8 @@ from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
 
-from .hadamard import Decision, SubmatrixSpec, is_hadamard_exact, vanishing_set
-from .numtheory import ModulusContext, is_prime_sum, modulus_context, p_adic_order
+from .hadamard import Decision, SubmatrixSpec, VerificationError, is_hadamard_exact, vanishing_set
+from .numtheory import ModulusContext, is_prime_sum, modulus_context
 from .primsets import (
     PrimitiveSet,
     Record,
@@ -57,10 +57,6 @@ MAX_SUBSETS = 10**8
 
 class GraphFormatError(ValueError):
     """A serialized graph violated the schema or a graph invariant."""
-
-
-class VerificationError(RuntimeError):
-    """An internal consistency check failed; indicates a defect, not bad input."""
 
 
 class CompatGraph(Record):
@@ -145,50 +141,46 @@ def build_graph(m: int, n: int) -> CompatGraph:
 
 def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
     """The lexicographically least 0-containing n-subset of each primitive-set
-    mask that the n-subsets of {0..m-1} realize and that passes the screens
-    of ``_screen``, keyed by mask.
+    mask that the n-subsets of {0..m-1} realize and that passes
+    ``_screen``, keyed by mask.
 
-    For n = 2 the mask of {0, d} is the bit of gcd(m, d), so each divisor
-    g < m is one bucket and {0, g} its least member.  For n >= 3, table[d]
-    is the bit of gcd(m, d), assigned through m's context, and a subset's
-    mask ORs table[b - a] over its pairs a < b, as ``primitive_set`` does.
-    If 2n > m, x and x + d meet for every d, so every divisor bit is set
-    and the one bucket's least member is (0, 1, ..., n-1).  Otherwise the
-    least member (0, a_1, ...) of a bucket has a_1 | m: some unit u has
-    u * a_1 = g = gcd(m, a_1) (lift the unit a_1 / g mod m / g and invert
-    it), multiplying by u keeps every gcd(m, b - a), and u * x holds 0 and
-    g, so it would be smaller if g < a_1.  Nor does it hold m - 1: then
-    x + 1 mod m holds 0 and 1 and has the same mask, and it is smaller,
-    since if x starts 0, 1, ..., j - 1, a_j with a_j > j, then x + 1 starts
-    0, 1, ..., j, and if x is 0, 1, ..., n - 2, m - 1, then x + 1 is
-    0, 1, ..., n - 1, where n - 1 < m - 1.  So a_1 runs over the divisors of
-    m below m, every element stays below m - 1, and the walk extends each
-    path depth first: near[c - lo], lo = path[-1] + 1, is the mask of
-    path + (c,), so that of path + (c, c') is
-    near[c - lo] | near[c' - lo] | table[c' - c].  A prefix's mask is
-    contained in the mask of every extension, and a screen failed by a mask
-    is failed by every mask holding it, so a prefix that fails is not
-    extended: no mask that passes loses a member, and the least member of
-    each keeps every prefix.  At n - 1 elements near holds whole subsets'
-    masks, searched only for masks not seen before; the ones that fail are
-    dropped at the end.  The recursion is n - 1 deep and memory O(n m).
+    The gcds of m with 0 < d < m are exactly the divisors g < m of m, so
+    bit[g] over those g is every bit a mask can hold.  For n = 2 the mask
+    of {0, d} is bit[gcd(m, d)], so each g is one bucket and {0, g} its
+    least member.  If 2n > m, x and x + d meet for every d, so every bit is
+    set and the one bucket's least member is (0, 1, ..., n-1).  Otherwise
+    a subset's mask ORs table[b - a] = bit[gcd(m, b - a)] over its pairs
+    a < b, as ``primitive_set`` does, and the least member (0, a_1, ...) of
+    a bucket has a_1 | m: some unit u has u * a_1 = g = gcd(m, a_1) (lift
+    the unit a_1 / g mod m / g and invert it), multiplying by u keeps every
+    gcd(m, b - a), and u * x holds 0 and g, so it would be smaller if
+    g < a_1.  Nor does it hold m - 1: then x + 1 mod m holds 0 and 1 and
+    has the same mask, and it is smaller, since if x starts
+    0, 1, ..., j - 1, a_j with a_j > j, then x + 1 starts 0, 1, ..., j, and
+    if x is 0, 1, ..., n - 2, m - 1, then x + 1 is 0, 1, ..., n - 1, where
+    n - 1 < m - 1.  So a_1 runs over the g, every element stays below
+    m - 1, and the walk extends each path depth first: near[c - lo],
+    lo = path[-1] + 1, is the mask of path + (c,), so that of
+    path + (c, c') is near[c - lo] | near[c' - lo] | table[c' - c].  A
+    prefix's mask is contained in the mask of every extension, and a
+    screen failed by a mask is failed by every mask holding it, so a
+    prefix that fails is not extended: no mask that passes loses a member,
+    and the least member of each keeps every prefix.  At n - 1 elements
+    near holds whole subsets' masks, searched only for masks not seen
+    before; the ones that fail are dropped at the end.  The recursion is
+    n - 1 deep and memory O(n m).
     """
     m = ctx.m
     if n == 1:
         return {0: (0,)}
-    bit = ctx.bit
-    if n == 2:
-        least = {bit.get(g) or ctx.add_bit(g): (0, g) for g in ctx.divisors[:-1]}
-        passes = _screen(ctx, n)
-        return {mask: w for mask, w in least.items() if passes(mask)}
-    table = [0] * m
-    for d in range(1, m):
-        g = gcd(m, d)
-        table[d] = bit.get(g) or ctx.add_bit(g)
+    bit = {g: ctx.bit.get(g) or ctx.add_bit(g) for g in ctx.divisors[:-1]}
     passes = _screen(ctx, n)
+    if n == 2:
+        return {mask: (0, g) for g, mask in bit.items() if passes(mask)}
     if 2 * n > m:
-        mask = reduce(or_, table)
+        mask = reduce(or_, bit.values())
         return {mask: tuple(range(n))} if passes(mask) else {}
+    table = [0, *(bit[gcd(m, d)] for d in range(1, m))]
     least = {}
 
     def walk(path: tuple[int, ...], near: list[int]) -> None:
@@ -210,49 +202,44 @@ def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
                 row = map(or_, near[j + 1 :], table[1 : m - 1 - c])
                 walk((*path, c), list(map(near[j].__or__, row)))
 
-    for t in ctx.divisors[:-1]:
-        if passes(table[t]):
+    for t, mask in bit.items():
+        if passes(mask):
             row = map(or_, table[t + 1 : m - 1], table[1 : m - 1 - t])
-            walk((0, t), list(map(table[t].__or__, row)))
+            walk((0, t), list(map(mask.__or__, row)))
     return {mask: w for mask, w in least.items() if passes(mask)}
 
 
 def _screen(ctx: ModulusContext, n: int):
     """The test that the primitive-set mask of a bucket of G(m,n) passes
-    whenever the bucket can lie on an edge, as a function of the mask; every
-    bit of m's context must be assigned first.
+    whenever the bucket can lie on an edge, as a function of the mask.
 
     H_(K,J) is the transpose of H_(J,K), so both ends of an edge are row
     sets J of n-by-n Hadamard submatrices, and every s in P(J) minus {1} is
-    then in Z(K) for some n-subset K.  Two facts follow:
+    then in Z(K) for some n-subset K.  Two facts follow, and a mask fails
+    if either does not hold for its orders:
     - K(zeta_s) = 0 is a vanishing sum of n s-th roots of unity, so n is a
       sum of primes of s (Lam and Leung; ``is_prime_sum``);
     - the size divisor C(P(J)), the product of p over the powers p^a in
-      P(J), divides n, so at most ord_p(n) orders p^a are in P(J).
-    A mask with a bit that fails the first, or with more than ord_p(n) bits
-    of powers of p, fails.  Adding bits never passes a failing mask.
+      P(J), divides n.
+    Adding bits never passes a failing mask.
     """
-    forbidden = 0
-    powers: dict[int, int] = {}
-    for i, s in enumerate(ctx.orders):
-        primes = ctx.primes_of(s)
-        if not is_prime_sum(n, primes):
-            forbidden |= 1 << i
-        elif len(primes) == 1:
-            powers[primes[0]] = powers.get(primes[0], 0) | 1 << i
-    caps = [(mask, p_adic_order(p, n)) for p, mask in powers.items()]
-
     # a walk asks about the same few hundred masks many times over
     @lru_cache(maxsize=None)
     def passes(mask: int) -> bool:
-        return not mask & forbidden and all((mask & pp).bit_count() <= cap for pp, cap in caps)
+        divisor = 1
+        for s in ctx.orders_of(mask):
+            primes = ctx.primes_of(s)
+            if not is_prime_sum(n, primes):
+                return False
+            if len(primes) == 1:
+                divisor *= primes[0]
+        return n % divisor == 0
 
     return passes
 
 
 def _vanishing_mask(ctx: ModulusContext, k: ResidueSet) -> int:
-    """Z(K) as a mask over the divisor bits of m's context, every one of
-    which ``_least_members`` has assigned."""
+    """Z(K) as a mask over the divisor bits of m's context."""
     mask = 0
     for s in vanishing_set(k):
         mask |= ctx.bit[ctx.m // s]

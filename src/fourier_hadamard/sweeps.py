@@ -163,7 +163,8 @@ def compprop_violation(x: ResidueSet) -> dict | None:
 def check_compprop(m_max: int, samples: int) -> dict | None:
     """Exhaustive sweep over moduli up to m_max and sizes 2..4, then
     `samples` random cases with moduli from max(m_max + 1, 2) to 5000 and
-    sizes up to 8, drawn from a fixed seed.
+    sizes up to 8, drawn from a fixed seed; samples with m_max >= 5000
+    have no modulus to draw and raise ValueError before any work.
 
     The exhaustive part checks the 0-containing subsets only.  Whether x
     violates a bound depends only on m and its integer differences, which
@@ -173,6 +174,8 @@ def check_compprop(m_max: int, samples: int) -> dict | None:
     """
     if m_max < 2 and samples < 1:
         raise ValueError("compprop checks nothing unless m_max >= 2 or samples >= 1")
+    if samples >= 1 and m_max >= 5000:
+        raise ValueError(f"compprop samples moduli above m_max up to 5000, got m_max = {m_max}")
     for m in range(2, m_max + 1):
         for size in range(2, min(4, m) + 1):
             for tail in combinations(range(1, m), size - 1):

@@ -302,6 +302,12 @@ def test_verify_compprop_samples_only(capsys):
     assert (code, out, err) == (0, "suite compprop: pass\n", "")
 
 
+def test_verify_compprop_with_no_modulus_to_sample_exits_2(capsys):
+    code, out, err = run(["verify", "compprop", "--m-max", "5000", "--samples", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "5000" in err
+
+
 def test_verify_suites(capsys):
     code, out, _ = run(["verify", "counts2q", "--q-max", "4"], capsys)
     assert code == 0

@@ -157,6 +157,45 @@ def test_screened_out_buckets_are_not_vertices(n):
             assert _passes_screens(v, n), (m, n, v)
 
 
+def test_screen_matches_the_screens_on_every_prefix_mask():
+    # the per-mask screen against the test's own, on every mask the walk
+    # can meet (prefixes as well as buckets) over the range above
+    checked = 0
+    for m in range(2, 31):
+        ctx = modulus_context(m)
+        masks = set()
+        for n in range(2, min(m, 6) + 1):
+            if comb(m - 1, n - 1) > 60_000:
+                break  # C(m-1, n-1) only grows with n here
+            # the masks of the 0-containing n-subsets join those of the shorter prefixes
+            for tail in combinations(range(1, m), n - 1):
+                prims = primitive_set(ResidueSet(m, (0, *tail)))
+                masks.add(sum(ctx.bit[m // s] for s in prims.without_one()))
+            passes = graphs._screen(ctx, n)
+            for mask in masks:
+                prims = interned_primitive_set(ctx, mask)
+                assert passes(mask) == _passes_screens(prims, n), (m, n, prims)
+            checked += len(masks)
+    assert checked == 1021
+
+
+def test_build_graph_does_not_depend_on_bit_order():
+    # warm m = 60's context so that its first bits stand for the orders
+    # 2, 5, 3, 12, 4, 60, not in the order a cold build assigns them
+    modulus_context.cache_clear()
+    try:
+        for d in (30, 12, 20, 5, 15, 1):
+            primitive_set(ResidueSet(60, (0, d)))
+        assert modulus_context(60).orders == [2, 5, 3, 12, 4, 60]
+        warm = [export_json(build_graph(60, n)) for n in (2, 3, 5, 40)]
+        modulus_context.cache_clear()
+        cold = [export_json(build_graph(60, n)) for n in (2, 3, 5, 40)]
+        assert modulus_context(60).orders[:3] == [60, 30, 20]
+    finally:
+        modulus_context.cache_clear()
+    assert warm == cold
+
+
 def test_edge_membership():
     g = build_graph(180, 2)
     assert has_edge(g, pset(1, 20), pset(1, 18))

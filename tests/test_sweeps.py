@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -217,6 +218,16 @@ def test_oracle_sweeps_report_the_reference_counterexample(fault):
 def test_compprop_sweep_matches_all_subsets_reference():
     assert sweeps.check_compprop(20, 200) is None
     assert reference.compprop(20, 200) is None
+
+
+@pytest.mark.parametrize("m_max", [5000, 10**9])
+def test_compprop_refuses_an_empty_sample_range_before_any_work(m_max):
+    # samples are drawn from moduli m_max + 1..5000; with none to draw, the
+    # exhaustive part up to m_max, which would not end, must not run first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="5000"):
+        sweeps.check_compprop(m_max, 1)
+    assert time.perf_counter() - start < 1
 
 
 @st.composite
