@@ -304,7 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("compprop", "disjoint", "scaling", "oracle2", "oracle3", "counts2q", "all"),
     )
     p_verify.add_argument("-m", type=int, help="single modulus (disjoint)")
-    p_verify.add_argument("--m-max", type=nonnegative_int, help="modulus sweep bound")
+    p_verify.add_argument(
+        "--m-max", type=nonnegative_int,
+        help="modulus sweep bound; one under which a suite would check more than "
+        "10^8 subsets exits 2 (compprop from 222, oracle3 from 845, oracle2 from 14143)",
+    )
     p_verify.add_argument("--n", help="comma-separated sizes (disjoint)")
     p_verify.add_argument("--n-max", type=nonnegative_int, default=4, help="size sweep bound")
     p_verify.add_argument("--v-max", type=nonnegative_int, default=3, help="scale factor bound")

@@ -23,14 +23,7 @@ from operator import or_
 
 from .hadamard import Decision, SubmatrixSpec, VerificationError, is_hadamard_exact, vanishing_set
 from .numtheory import ModulusContext, is_prime_sum, modulus_context
-from .primsets import (
-    PrimitiveSet,
-    Record,
-    ResidueSet,
-    interned_primitive_set,
-    primitive_set,
-    size_divisor,
-)
+from .primsets import PrimitiveSet, Record, ResidueSet, primitive_set, size_divisor
 
 __all__ = [
     "CompatGraph",
@@ -110,7 +103,7 @@ def build_graph(m: int, n: int) -> CompatGraph:
     # (P, mask of P, witness), sorted by primitive set; the sets are
     # distinct, so the sort never compares further
     buckets = sorted(
-        (interned_primitive_set(ctx, mask), mask, ResidueSet(m, least))
+        (PrimitiveSet([1, *ctx.orders_of(mask)]), mask, ResidueSet(m, least))
         for mask, least in _least_members(ctx, n).items()
     )
     # a singleton's mask is 0 and passes against any Z, so n = 1 skips Z
@@ -173,7 +166,7 @@ def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
     m = ctx.m
     if n == 1:
         return {0: (0,)}
-    bit = {g: ctx.bit.get(g) or ctx.add_bit(g) for g in ctx.divisors[:-1]}
+    bit = ctx.bit
     passes = _screen(ctx, n)
     if n == 2:
         return {mask: (0, g) for g, mask in bit.items() if passes(mask)}

@@ -140,36 +140,33 @@ def is_prime_sum(w: int, primes: tuple[int, ...]) -> bool:
 class ModulusContext:
     """What the package computes about one modulus m, each part on first use.
 
-    - ``bit`` indexes the divisors g of m that occur as gcd(m, d) of a
-      difference d, one bit each in order of first appearance; ``orders``
-      lists m // g, the order the bit stands for, in bit order.  A set of
-      such orders is then one int, its mask.
-    - ``interned`` maps a mask to the one object that stands for that set
-      of orders; ``primsets.primitive_set`` fills it with primitive sets.
     - ``factorization``, ``primes`` and ``divisors`` are factorized from m
-      the first time any of them is read, and never before, so work that
-      needs only the bit index (primitive sets) never factorizes m.
+      the first time any of them is read, and never before.
+    - ``bit`` gives each divisor g < m of m one bit of a mask, bit i to the
+      i-th smallest, and ``orders`` lists m // g, the order that bit i
+      stands for.  The gcds of m with the differences 0 < d < m are
+      exactly these g, so a set of such orders is one int, its mask, and
+      the layout depends on m alone.
 
-    Memory is O(divisors of m + distinct sets interned).
+    Memory is O(divisors of m).
     """
 
     def __init__(self, m: int):
         self.m = m
-        self.bit: dict[int, int] = {}
-        self.orders: list[int] = []
-        self.interned: dict[int, object] = {}
         self._primes_of: dict[int, tuple[int, ...]] = {}
 
-    def add_bit(self, g: int) -> int:
-        """The bit of the divisor g = gcd(m, d), assigning the next free one
-        on first sight."""
-        bit = self.bit[g] = 1 << len(self.orders)
-        self.orders.append(self.m // g)
-        return bit
+    @cached_property
+    def bit(self) -> dict[int, int]:
+        return {g: 1 << i for i, g in enumerate(self.divisors[:-1])}
+
+    @cached_property
+    def orders(self) -> list[int]:
+        return [self.m // g for g in self.divisors[:-1]]
 
     def orders_of(self, mask: int) -> list[int]:
-        """The orders m // g whose bits are set in mask, in bit order."""
-        return [s for i, s in enumerate(self.orders) if mask >> i & 1]
+        """The orders whose bits are set in mask, in bit order; the empty
+        mask reads no divisor, so it never factorizes m."""
+        return [s for i, s in enumerate(self.orders) if mask >> i & 1] if mask else []
 
     @cached_property
     def factorization(self) -> tuple[tuple[int, int], ...]:

@@ -10,14 +10,13 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd, prod
 
-from .numtheory import ModulusContext, cyclotomic_at_one, modulus_context
+from .numtheory import cyclotomic_at_one
 
 __all__ = [
     "ResidueSet",
     "PrimitiveSet",
     "difference_set",
     "primitive_set",
-    "interned_primitive_set",
     "size_divisor",
     "shift",
     "scale",
@@ -135,30 +134,11 @@ def primitive_set(x: ResidueSet) -> PrimitiveSet:
     """The set {m / gcd(m, d)} over the differences d of x; always contains 1.
 
     Every element divides the modulus of x.  Negated differences give the
-    same gcd, so only one sign per pair is consulted.  The orders are ORed
-    into a mask over the divisor bits of m's context, and the context
-    interns one PrimitiveSet per mask: equal primitive sets of one modulus
-    are one object, and m is never factorized.
+    same gcd, so only one sign per pair is consulted, and m is never
+    factorized.
     """
     m = x.modulus
-    ctx = modulus_context(m)
-    bit = ctx.bit
-    # 1 is in every primitive set and never the order of a difference of
-    # two residues, so it has no bit: the empty mask stands for {1}
-    mask = 0
-    for a, b in combinations(x.elements, 2):
-        g = gcd(m, b - a)
-        mask |= bit.get(g) or ctx.add_bit(g)
-    return interned_primitive_set(ctx, mask)
-
-
-def interned_primitive_set(ctx: ModulusContext, mask: int) -> PrimitiveSet:
-    """The one PrimitiveSet of m's context with 1 and the orders of the bits
-    set in mask, created on first request."""
-    prims = ctx.interned.get(mask)
-    if prims is None:
-        prims = ctx.interned[mask] = PrimitiveSet([1, *ctx.orders_of(mask)])
-    return prims
+    return PrimitiveSet({1, *(m // gcd(m, b - a) for a, b in combinations(x.elements, 2))})
 
 
 def size_divisor(prims: PrimitiveSet) -> int:

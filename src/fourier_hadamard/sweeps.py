@@ -2,7 +2,9 @@
 
 Each sweep returns None on a clean pass or a dict describing the first
 counterexample found; bounds that select no case raise ValueError, so a
-sweep that checks nothing never passes.  The CLI runs them behind the
+sweep that checks nothing never passes.  Bounds under which an exhaustive
+part would enumerate more than the graph builder's MAX_SUBSETS subsets
+raise ValueError too, before any work.  The CLI runs them behind the
 ``verify`` subcommand; the test suite asserts they come back clean.  The
 oracle sweeps compute P(x) and Z(x) once per subset and modulus and group
 the subsets into classes by that pair.  The closed form reads only the
@@ -19,8 +21,9 @@ import random
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
-from .graphs import build_graph
+from .graphs import MAX_SUBSETS, build_graph
 from .hadamard import Decision, decide_2x2_general, decide_3x3, vanishing_set
 from .numtheory import modulus_context, p_adic_extremes
 from .primsets import ResidueSet, primitive_set
@@ -65,6 +68,9 @@ def check_counts_power_of_two(
 def _oracle_equivalence(m_max: int, n: int, fast_test) -> dict | None:
     if m_max < n:
         raise ValueError(f"oracle{n} checks nothing for m_max = {m_max}")
+    # C(m-1, n-1) 0-containing n-subsets for each m, C(m_max, n) in all
+    if comb(m_max, n) > MAX_SUBSETS:
+        raise ValueError(f"oracle{n} has more than {MAX_SUBSETS} subsets to check for m_max = {m_max}")
     for m in range(n, m_max + 1):
         subsets = [ResidueSet(m, (0,) + t) for t in combinations(range(1, m), n - 1)]
         # the indices of the 0-containing subsets, in enumeration order, in
@@ -164,7 +170,8 @@ def check_compprop(m_max: int, samples: int) -> dict | None:
     """Exhaustive sweep over moduli up to m_max and sizes 2..4, then
     `samples` random cases with moduli from max(m_max + 1, 2) to 5000 and
     sizes up to 8, drawn from a fixed seed; samples with m_max >= 5000
-    have no modulus to draw and raise ValueError before any work.
+    have no modulus to draw, and m_max >= 222 gives more than MAX_SUBSETS
+    subsets to check, so both raise ValueError before any work.
 
     The exhaustive part checks the 0-containing subsets only.  Whether x
     violates a bound depends only on m and its integer differences, which
@@ -176,6 +183,10 @@ def check_compprop(m_max: int, samples: int) -> dict | None:
         raise ValueError("compprop checks nothing unless m_max >= 2 or samples >= 1")
     if samples >= 1 and m_max >= 5000:
         raise ValueError(f"compprop samples moduli above m_max up to 5000, got m_max = {m_max}")
+    # C(m-1, size-1) 0-containing subsets for each m and size 2..4, so
+    # C(m_max, 2) + C(m_max, 3) + C(m_max, 4) in all
+    if sum(comb(m_max, k) for k in (2, 3, 4)) > MAX_SUBSETS:
+        raise ValueError(f"compprop has more than {MAX_SUBSETS} subsets to check for m_max = {m_max}")
     for m in range(2, m_max + 1):
         for size in range(2, min(4, m) + 1):
             for tail in combinations(range(1, m), size - 1):

@@ -1,11 +1,11 @@
-"""Per-call reference for the interned primitive sets.
+"""Independent per-call reference for primitive sets.
 
-``fourier_hadamard.primsets.primitive_set`` ORs one bit per order into a
-mask over the divisors of m and returns the one ``PrimitiveSet`` that the
-modulus context interned for that mask.  This module keeps the way without
-masks or interning as the independent reference: a fresh set of
-m / gcd(m, d) per call, held by the class that used to carry primitive
-sets, with its equality, hashing and ordering written out in Python.
+``fourier_hadamard.primsets.primitive_set`` returns a ``PrimitiveSet``, a
+tuple subclass whose equality, hashing and ordering are the tuple's.  This
+module computes the same set, a fresh set of m / gcd(m, d) per call, held
+by the class that used to carry primitive sets, with its equality, hashing
+and ordering written out in Python, so that the tests compare two
+separately written classes.
 """
 
 from __future__ import annotations

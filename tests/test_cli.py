@@ -308,6 +308,15 @@ def test_verify_compprop_with_no_modulus_to_sample_exits_2(capsys):
     assert err.startswith("error: ") and "5000" in err
 
 
+def test_verify_compprop_past_the_subset_bound_exits_2(capsys):
+    # C(5000, 2) + C(5000, 3) + C(5000, 4), about 2.6 * 10^13 subsets
+    start = time.perf_counter()
+    code, out, err = run(["verify", "compprop", "--m-max", "5000", "--samples", "0"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "100000000 subsets" in err
+
+
 def test_verify_suites(capsys):
     code, out, _ = run(["verify", "counts2q", "--q-max", "4"], capsys)
     assert code == 0

@@ -22,14 +22,9 @@ from fourier_hadamard.graphs import (
     has_edge,
     import_json,
 )
-from fourier_hadamard.hadamard import Screen, screen_size_divisor
+from fourier_hadamard.hadamard import Screen, screen_size_divisor, vanishing_set
 from fourier_hadamard.numtheory import divisors, factorize, modulus_context
-from fourier_hadamard.primsets import (
-    PrimitiveSet,
-    ResidueSet,
-    interned_primitive_set,
-    primitive_set,
-)
+from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, primitive_set
 from fourier_hadamard.sweeps import check_disjoint, check_scaling
 from record_atlas import CASES as ATLAS_CASES
 
@@ -136,7 +131,7 @@ def test_least_members_match_brute_force(n):
         ctx = modulus_context(m)
         least = graphs._least_members(ctx, n)
         screened = {p: w for p, w in first.items() if _passes_screens(p, n)}
-        assert {interned_primitive_set(ctx, mask): w for mask, w in least.items()} == screened
+        assert {pset(1, *ctx.orders_of(mask)): w for mask, w in least.items()} == screened
         dropped += len(first) - len(screened)
         assert all(m % w[1] == 0 for w in first.values())
         if 2 * n > m:
@@ -173,27 +168,31 @@ def test_screen_matches_the_screens_on_every_prefix_mask():
                 masks.add(sum(ctx.bit[m // s] for s in prims.without_one()))
             passes = graphs._screen(ctx, n)
             for mask in masks:
-                prims = interned_primitive_set(ctx, mask)
+                prims = pset(1, *ctx.orders_of(mask))
                 assert passes(mask) == _passes_screens(prims, n), (m, n, prims)
             checked += len(masks)
     assert checked == 1021
 
 
-def test_build_graph_does_not_depend_on_bit_order():
-    # warm m = 60's context so that its first bits stand for the orders
-    # 2, 5, 3, 12, 4, 60, not in the order a cold build assigns them
+def test_divisor_bits_depend_on_m_alone():
+    # bit i stands for the i-th divisor of m below m, whatever the context
+    # was asked before: primitive sets, vanishing sets, builds of any size
     modulus_context.cache_clear()
     try:
-        for d in (30, 12, 20, 5, 15, 1):
-            primitive_set(ResidueSet(60, (0, d)))
-        assert modulus_context(60).orders == [2, 5, 3, 12, 4, 60]
-        warm = [export_json(build_graph(60, n)) for n in (2, 3, 5, 40)]
-        modulus_context.cache_clear()
-        cold = [export_json(build_graph(60, n)) for n in (2, 3, 5, 40)]
-        assert modulus_context(60).orders[:3] == [60, 30, 20]
+        for m in (60, 72):
+            ctx = modulus_context(m)
+            expected = [m // g for g in ctx.divisors[:-1]]
+            assert ctx.orders == expected
+            for d in (30, 12, 20, 5, 15, 1):
+                primitive_set(ResidueSet(m, (0, d)))
+                vanishing_set(ResidueSet(m, (0, d)))
+            for n in (1, 2, 3, 40):
+                build_graph(m, n)
+            assert modulus_context(m) is ctx
+            assert ctx.orders == expected
+            assert ctx.bit == {g: 1 << i for i, g in enumerate(ctx.divisors[:-1])}
     finally:
         modulus_context.cache_clear()
-    assert warm == cold
 
 
 def test_edge_membership():
@@ -523,7 +522,7 @@ def test_representatives_give_back_their_interned_vertex(m, n):
     graph = build_graph(m, n)
     assert graph.vertices
     for v in graph.vertices:
-        assert primitive_set(graph.representatives[v]) is v
+        assert primitive_set(graph.representatives[v]) == v
 
 
 def test_singleton_graph_at_a_modulus_too_large_to_factorize():

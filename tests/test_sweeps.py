@@ -230,6 +230,27 @@ def test_compprop_refuses_an_empty_sample_range_before_any_work(m_max):
     assert time.perf_counter() - start < 1
 
 
+EXHAUSTIVE = {
+    "compprop": lambda m_max: sweeps.check_compprop(m_max, 0),
+    "oracle3": sweeps.check_oracle_3x3,
+    "oracle2": sweeps.check_oracle_2x2,
+}
+
+
+# compprop checks C(m_max, 2) + C(m_max, 3) + C(m_max, 4) subsets, past
+# 10^8 from 222, and oracle<n> C(m_max, n), past 10^8 from 845 for n = 3
+# and from 14143 for n = 2
+@pytest.mark.parametrize(
+    "suite, m_max",
+    [("compprop", 222), ("compprop", 5000), ("oracle3", 845), ("oracle3", 5000), ("oracle2", 14143)],
+)
+def test_sweeps_refuse_more_subsets_than_the_builder_before_any_work(suite, m_max):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {graphs.MAX_SUBSETS} subsets"):
+        EXHAUSTIVE[suite](m_max)
+    assert time.perf_counter() - start < 1
+
+
 @st.composite
 def planted_compprop_faults(draw):
     """A modulus m, a subset x of [0, m) with 2 to 4 elements and a sweep
