@@ -56,26 +56,14 @@ class CompatGraph(Record):
     """Vertices, undirected edges (loops allowed), and one canonical witness
     selection per vertex.
 
-    Edges are stored as ordered pairs (p, q) with p <= q.  Vertex membership
-    is derived from edge existence, so isolated vertices cannot occur.
+    Fields, in order: ``m`` and ``n`` (int); ``vertices``
+    (frozenset[PrimitiveSet]); ``edges`` (frozenset of pairs (p, q) of
+    PrimitiveSets with p <= q); ``representatives`` (dict from each vertex
+    to its witness ResidueSet).  Vertex membership is derived from edge
+    existence, so isolated vertices cannot occur.
     """
 
     __slots__ = ("m", "n", "vertices", "edges", "representatives")
-
-    def __init__(
-        self,
-        m: int,
-        n: int,
-        vertices: frozenset[PrimitiveSet],
-        edges: frozenset[tuple[PrimitiveSet, PrimitiveSet]],
-        representatives: dict[PrimitiveSet, ResidueSet],
-    ):
-        _set = object.__setattr__
-        _set(self, "m", m)
-        _set(self, "n", n)
-        _set(self, "vertices", vertices)
-        _set(self, "edges", edges)
-        _set(self, "representatives", representatives)
 
 
 def build_graph(m: int, n: int) -> CompatGraph:

@@ -101,10 +101,7 @@ class SubmatrixSpec(Record):
                 f"row set has {len(j)} elements but column set has {len(k)}; "
                 "Hadamard submatrices are square"
             )
-        _set = object.__setattr__
-        _set(self, "m", m)
-        _set(self, "j", j)
-        _set(self, "k", k)
+        super().__init__(m, j, k)
 
     @classmethod
     def of(cls, m: int, j_elements, k_elements) -> "SubmatrixSpec":
@@ -119,10 +116,7 @@ class SubmatrixVerdict(Record):
     def __init__(self, decision: Decision, rule: str, witness: dict | None = None):
         if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r}")
-        _set = object.__setattr__
-        _set(self, "decision", decision)
-        _set(self, "rule", rule)
-        _set(self, "witness", witness)
+        super().__init__(decision, rule, witness)
 
 
 # bounded so long-lived processes stay flat; `fhad verify all` fills 4,371 of it

@@ -116,9 +116,6 @@ def cyclotomic_at_one(s: int) -> int:
     return primes[0] if len(primes) == 1 else 1
 
 
-# keyed by (weight, primes of an order); the weights are selection sizes
-# and their classes, so a process meets few of them
-@lru_cache(maxsize=4096)
 def is_prime_sum(w: int, primes: tuple[int, ...]) -> bool:
     """Whether w >= 0 is a sum of the given primes, each taken any number of
     times (0 is the empty sum).

@@ -27,11 +27,22 @@ __all__ = [
 class Record:
     """Read-only value record: its fields are its ``__slots__``, in order.
 
-    Equal when of one class with equal fields, hashed and shown by them;
-    subclasses set their fields through ``object.__setattr__``.
+    The constructor takes the fields in that order, positionally; a
+    subclass that validates its fields ends its own ``__init__`` in
+    ``super().__init__``.  Equal when of one class with equal fields,
+    hashed and shown by them.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__qualname__} takes the fields "
+                f"{', '.join(self.__slots__)}, got {len(fields)} values"
+            )
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -54,7 +65,6 @@ class Record:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
-    # every record's constructor takes its fields in order
     def __reduce__(self):
         return type(self), self._fields()
 
@@ -74,9 +84,7 @@ class ResidueSet(Record):
             raise ValueError(f"duplicate residues in {elems}")
         if elems[0] < 0 or elems[-1] >= modulus:
             raise ValueError(f"residues {elems} out of range for modulus {modulus}")
-        _set = object.__setattr__
-        _set(self, "modulus", modulus)
-        _set(self, "elements", elems)
+        super().__init__(modulus, elems)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -69,7 +69,16 @@ def test_records_are_read_only_values(record, equal, other, text):
     assert record != other and not record == other
     # equal fields in another class do not make an equal record
     fields = FIELDS[type(record).__name__]
-    assert record != tuple(getattr(record, f) for f in fields)
+    values = tuple(getattr(record, f) for f in fields)
+    assert record != values
+    # the constructor takes exactly the fields, in order
+    assert type(record)(*values) == record
+    with pytest.raises(TypeError):
+        type(record)(*values, None)
+    if isinstance(record, CompatGraph):
+        with pytest.raises(TypeError, match="takes the fields m, n, vertices, edges, "
+                           "representatives, got 4 values"):
+            CompatGraph(*values[:-1])
     if isinstance(record, CompatGraph):
         with pytest.raises(TypeError):
             hash(record)  # its representatives are a dict
