@@ -9,9 +9,9 @@ at which K(z) vanishes, so the builder works on divisor bitmasks: it
 enumerates the 0-containing subsets once, leaving out those whose mask
 fails the size-divisor or the Lam-Leung screen (no such subset is on an
 edge), keeps the least subset of each primitive-set mask as the bucket's
-witness, computes Z of each witness once as a mask over the same bits, and
-draws an edge wherever one mask lies inside the other's Z.  The exact
-oracle then re-checks every edge.
+witness, computes Z of each witness once with ``hadamard.zero_mask``, a
+mask over the same bits, and draws an edge wherever one mask lies inside
+the other's Z.  The exact oracle then re-checks every edge.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
 
-from .hadamard import Decision, SubmatrixSpec, VerificationError, is_hadamard_exact, vanishing_set
-from .numtheory import ModulusContext, is_prime_sum, modulus_context
+from .hadamard import Decision, SubmatrixSpec, VerificationError, is_hadamard_exact, zero_mask
+from .numtheory import ModulusContext, modulus_context
 from .primsets import PrimitiveSet, Record, ResidueSet, primitive_set, size_divisor
 
 __all__ = [
@@ -73,11 +73,12 @@ def build_graph(m: int, n: int) -> CompatGraph:
     both Hadamard-ness and primitive sets unchanged, so nothing is lost) by
     the divisor bitmasks of their primitive sets (for n = 2, read off the
     divisors of m), keeps the lexicographically least subset of each mask
-    as the bucket's witness, and computes Z of each witness once as a
-    mask.  Only masks that pass two necessary conditions for lying on an
-    edge (see ``_screen``) are walked and kept, so no other bucket is built
-    or has its Z computed.  Buckets p <= q are joined iff the mask of p lies inside Z(q),
-    and the vertices are the buckets on an edge.  Every edge is then
+    as the bucket's witness (a plain tuple; only a vertex's becomes a
+    ResidueSet), and computes Z of each witness once with ``zero_mask``.
+    Only masks that pass two necessary conditions for lying on an edge
+    (see ``_screen``) are walked and kept, so no other bucket is built or
+    has its Z computed.  Buckets p <= q are joined iff the mask of p lies
+    inside Z(q), and the vertices are the buckets on an edge.  Every edge is then
     re-checked by the exact oracle; a failure raises VerificationError.
     More than MAX_SUBSETS subsets or witness differences raise ValueError
     up front.
@@ -91,12 +92,12 @@ def build_graph(m: int, n: int) -> CompatGraph:
     # (P, mask of P, witness), sorted by primitive set; the sets are
     # distinct, so the sort never compares further
     buckets = sorted(
-        (PrimitiveSet([1, *ctx.orders_of(mask)]), mask, ResidueSet(m, least))
+        (PrimitiveSet([1, *ctx.orders_of(mask)]), mask, least)
         for mask, least in _least_members(ctx, n).items()
     )
     # a singleton's mask is 0 and passes against any Z, so n = 1 skips Z
     # and never factorizes m, which may be too large to factorize
-    zeros = [_vanishing_mask(ctx, k) if n > 1 else 0 for _, _, k in buckets]
+    zeros = [zero_mask(ctx, k) if n > 1 else 0 for _, _, k in buckets]
     # p joins q iff mask(p) & ~Z(q) == 0; many buckets share one Z, so the
     # buckets inside each distinct Z are listed once
     inside: dict[int, list[PrimitiveSet]] = {}
@@ -111,7 +112,7 @@ def build_graph(m: int, n: int) -> CompatGraph:
     )
     vertices = frozenset(v for pair in edges for v in pair)
     witnesses = {p: k for p, _, k in buckets}
-    representatives = {v: witnesses[v] for v in sorted(vertices)}
+    representatives = {v: ResidueSet(m, witnesses[v]) for v in sorted(vertices)}
     graph = CompatGraph(m, n, vertices, edges, representatives)
     if bad := _reverify_edges(graph):
         raise VerificationError(
@@ -199,32 +200,27 @@ def _screen(ctx: ModulusContext, n: int):
     then in Z(K) for some n-subset K.  Two facts follow, and a mask fails
     if either does not hold for its orders:
     - K(zeta_s) = 0 is a vanishing sum of n s-th roots of unity, so n is a
-      sum of primes of s (Lam and Leung; ``is_prime_sum``);
+      sum of primes of s (Lam and Leung): the mask lies inside
+      ``ctx.sum_mask(n)``, one AND with its complement;
     - the size divisor C(P(J)), the product of p over the powers p^a in
       P(J), divides n.
     Adding bits never passes a failing mask.
     """
+    outside = ~ctx.sum_mask(n)
+
     # a walk asks about the same few hundred masks many times over
     @lru_cache(maxsize=None)
     def passes(mask: int) -> bool:
+        if mask & outside:
+            return False
         divisor = 1
         for s in ctx.orders_of(mask):
             primes = ctx.primes_of(s)
-            if not is_prime_sum(n, primes):
-                return False
             if len(primes) == 1:
                 divisor *= primes[0]
         return n % divisor == 0
 
     return passes
-
-
-def _vanishing_mask(ctx: ModulusContext, k: ResidueSet) -> int:
-    """Z(K) as a mask over the divisor bits of m's context."""
-    mask = 0
-    for s in vanishing_set(k):
-        mask |= ctx.bit[ctx.m // s]
-    return mask
 
 
 def _require_enumerable(m: int, n: int) -> None:

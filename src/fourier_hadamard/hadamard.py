@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import inf, prod
 from operator import mul
 
-from .numtheory import is_prime_sum, modulus_context, p_adic_extremes
+from .numtheory import ModulusContext, is_prime_sum, modulus_context, p_adic_extremes
 from .primsets import PrimitiveSet, Record, ResidueSet, primitive_set, size_divisor
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "SubmatrixSpec",
     "SubmatrixVerdict",
     "RULES",
+    "zero_mask",
     "vanishing_set",
     "is_hadamard_exact",
     "is_hadamard_numeric",
@@ -184,27 +185,24 @@ def _root_sum_vanishes(terms: dict[int, int], primes: tuple[int, ...]) -> bool:
     return True
 
 
-def vanishing_set(k: ResidueSet) -> frozenset[int]:
-    """Z(K): the orders s > 1 dividing the modulus m for which the s-th
-    cyclotomic polynomial divides K(z), i.e. K(z) vanishes at the primitive
-    s-th roots of unity, each decided by the sparse vanishing test on K's
-    exponents.
+def zero_mask(ctx: ModulusContext, elements: tuple[int, ...]) -> int:
+    """Z(K) as a mask over the divisor bits of m's context: the orders s > 1
+    of m at which K(z), given by its exponents in ascending order, vanishes,
+    i.e. Phi_s divides K(z).  H_(J,K) is Hadamard iff the mask of P(J) minus
+    {1} lies inside it.  Only the orders of ``ctx.sum_mask(|K|)`` are tested:
+    at no other does a sum of |K| roots of unity vanish (Lam and Leung)."""
+    candidates = ctx.sum_mask(len(elements))
+    mask = 0
+    for i, s in enumerate(ctx.orders):
+        if candidates >> i & 1 and _cyclotomic_divides(s, elements, ctx.primes_of(s)):
+            mask |= 1 << i
+    return mask
 
-    This is the exact oracle in set form: with P(J) the primitive set of a
-    row set of the same size, H_(J,K) is Hadamard iff P(J) minus {1} is a
-    subset of Z(K).  Computing Z(K) once lets every row set be tested
-    against K by one set inclusion.  The divisors of m and their primes come
-    from m's context.  An order s is decided only when |K| is a sum of the
-    primes of s: otherwise no sum of |K| s-th roots of unity vanishes (Lam
-    and Leung), and s is left out without a call to the memoized test.
-    """
+
+def vanishing_set(k: ResidueSet) -> frozenset[int]:
+    """Z(K) as a set of orders, read off ``zero_mask``."""
     ctx = modulus_context(k.modulus)
-    return frozenset(
-        s
-        for s in ctx.divisors[1:]
-        if is_prime_sum(len(k), ctx.primes_of(s))
-        and _cyclotomic_divides(s, k.elements, ctx.primes_of(s))
-    )
+    return frozenset(ctx.orders_of(zero_mask(ctx, k.elements)))
 
 
 def is_hadamard_exact(spec: SubmatrixSpec) -> SubmatrixVerdict:

@@ -144,13 +144,17 @@ class ModulusContext:
       stands for.  The gcds of m with the differences 0 < d < m are
       exactly these g, so a set of such orders is one int, its mask, and
       the layout depends on m alone.
+    - ``sum_mask(n)`` masks the orders s at which n is a sum of primes of
+      s, computed once per n: by Lam and Leung the only orders at which n
+      s-th roots of unity can add up to 0.
 
-    Memory is O(divisors of m).
+    Memory is O(divisors of m), plus one mask per n asked.
     """
 
     def __init__(self, m: int):
         self.m = m
         self._primes_of: dict[int, tuple[int, ...]] = {}
+        self._sum_masks: dict[int, int] = {}
 
     @cached_property
     def bit(self) -> dict[int, int]:
@@ -186,6 +190,13 @@ class ModulusContext:
         if primes is None:
             primes = self._primes_of[s] = tuple(p for p in self.primes if s % p == 0)
         return primes
+
+    def sum_mask(self, n: int) -> int:
+        """The mask of the orders s at which n is a sum of primes of s."""
+        if n not in self._sum_masks:
+            primes = map(self.primes_of, self.orders)
+            self._sum_masks[n] = sum(1 << i for i, ps in enumerate(primes) if is_prime_sum(n, ps))
+        return self._sum_masks[n]
 
 
 # Sweeps visit a few thousand moduli, and a context costs a few dicts plus

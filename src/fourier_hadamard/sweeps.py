@@ -6,11 +6,12 @@ sweep that checks nothing never passes.  Bounds under which an exhaustive
 part would enumerate more than the graph builder's MAX_SUBSETS subsets
 raise ValueError too, before any work.  The CLI runs them behind the
 ``verify`` subcommand; the test suite asserts they come back clean.  The
-oracle sweeps compute P(x) and Z(x) once per subset and modulus and group
-the subsets into classes by that pair.  The closed form reads only the
-primitive sets, and the exact verdict only the inclusion of P(J) minus {1}
-in Z(K), so each class pair is decided once, by both sides, and stands for
-all of its subset pairs.  The vertex-set checks (disjointness across sizes,
+oracle sweeps group the 0-containing subsets, plain tuples, into classes
+by the divisor masks of P(x) minus {1} and of Z(x) (``zero_mask``).  The
+closed form reads only the primitive sets, built once per class, and the
+exact verdict only whether the mask of P(J) lies inside Z(K), so each
+class pair is decided once, by both sides, and stands for all of its
+subset pairs.  The vertex-set checks (disjointness across sizes,
 containment under scaling) live here and build each graph they compare
 once per call.
 """
@@ -19,14 +20,15 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
-from math import comb
+from math import comb, gcd
+from operator import or_
 
 from .graphs import MAX_SUBSETS, build_graph
-from .hadamard import Decision, decide_2x2_general, decide_3x3, vanishing_set
+from .hadamard import Decision, decide_2x2_general, decide_3x3, zero_mask
 from .numtheory import modulus_context, p_adic_extremes
-from .primsets import ResidueSet, primitive_set
+from .primsets import PrimitiveSet, ResidueSet
 
 __all__ = [
     "check_counts_power_of_two",
@@ -72,20 +74,23 @@ def _oracle_equivalence(m_max: int, n: int, fast_test) -> dict | None:
     if comb(m_max, n) > MAX_SUBSETS:
         raise ValueError(f"oracle{n} has more than {MAX_SUBSETS} subsets to check for m_max = {m_max}")
     for m in range(n, m_max + 1):
-        subsets = [ResidueSet(m, (0,) + t) for t in combinations(range(1, m), n - 1)]
+        ctx = modulus_context(m)
+        table = [0, *(ctx.bit[gcd(m, d)] for d in range(1, m))]
+        subsets = [(0, *t) for t in combinations(range(1, m), n - 1)]
         # the indices of the 0-containing subsets, in enumeration order, in
-        # classes by (P(x), Z(x)); both verdicts of a pair read only these
-        classes: dict[tuple, list[int]] = {}
+        # classes by the masks of P(x) and Z(x); both verdicts read only these
+        classes: dict[tuple[int, int], list[int]] = {}
         for i, x in enumerate(subsets):
-            classes.setdefault((primitive_set(x), vanishing_set(x)), []).append(i)
+            prims = reduce(or_, [table[b - a] for a, b in combinations(x, 2)])
+            classes.setdefault((prims, zero_mask(ctx, x)), []).append(i)
+        sets = {pj: PrimitiveSet([1, *ctx.orders_of(pj)]) for pj, _ in classes}
         first = None
         for (pj, _), rows in classes.items():
-            prims = frozenset(pj.without_one())
-            for (pk, zeros), cols in classes.items():
+            for (pk, zk), cols in classes.items():
                 if rows[0] > cols[-1]:
                     continue  # no pair j <= k in this class pair
-                fast = fast_test(m, pj, pk).decision
-                exact = Decision.HADAMARD if prims <= zeros else Decision.NOT_HADAMARD
+                fast = fast_test(m, sets[pj], sets[pk]).decision
+                exact = Decision.NOT_HADAMARD if pj & ~zk else Decision.HADAMARD
                 if fast is not exact:
                     # the pair-by-pair scan meets this class pair first at its
                     # least row and the least column at or after that row
@@ -97,8 +102,8 @@ def _oracle_equivalence(m_max: int, n: int, fast_test) -> dict | None:
             return {
                 "suite": f"oracle{n}",
                 "m": m,
-                "j": subsets[j].elements,
-                "k": subsets[k].elements,
+                "j": subsets[j],
+                "k": subsets[k],
                 "fast": fast.value,
                 "exact": exact.value,
             }
@@ -141,9 +146,9 @@ def compprop_violation(x: ResidueSet) -> dict | None:
       max ord_p(D) <= ord_p(m) - min ord_p(P)
     """
     m = x.modulus
-    prims = primitive_set(x).without_one()
     # D = -D, so its positive half has the same p-adic extremes
     diffs = [b - a for a, b in combinations(x.elements, 2)]
+    prims = {m // gcd(m, d) for d in diffs}
     for p, e in modulus_context(m).factorization:
         lo_p, hi_p = p_adic_extremes(p, prims)
         lo_d, hi_d = p_adic_extremes(p, diffs)

@@ -11,7 +11,6 @@ import fourier_hadamard
 import reference_builder
 from fourier_hadamard.cli import main
 from fourier_hadamard.graphs import export_json
-from fourier_hadamard.numtheory import divisors
 
 
 def run(argv, capsys):
@@ -203,10 +202,9 @@ def test_graph_output_deterministic(capsys):
 
 def test_graph_verification_failure_exits_3(capsys, monkeypatch):
     # a Z(K) holding every order puts every bucket inside every other
-    def everything(k):
-        return frozenset(divisors(k.modulus)[1:])
-
-    monkeypatch.setattr("fourier_hadamard.graphs.vanishing_set", everything)
+    monkeypatch.setattr(
+        "fourier_hadamard.graphs.zero_mask", lambda ctx, elements: (1 << len(ctx.orders)) - 1
+    )
     code, out, err = run(["graph", "-m", "6", "-n", "2"], capsys)
     assert code == 3 and out == ""
     # {1,3} is screened out before the pair phase; {0,1} is not Hadamard with itself

@@ -23,7 +23,7 @@ from fourier_hadamard.graphs import (
     import_json,
 )
 from fourier_hadamard.hadamard import Screen, screen_size_divisor, vanishing_set
-from fourier_hadamard.numtheory import divisors, factorize, modulus_context
+from fourier_hadamard.numtheory import factorize, modulus_context
 from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, primitive_set
 from fourier_hadamard.sweeps import check_disjoint, check_scaling
 from record_atlas import CASES as ATLAS_CASES
@@ -428,10 +428,7 @@ def test_build_graph_reverification_catches_wrong_edges(monkeypatch):
     # a pair phase that passes every pair must be caught by the exact
     # re-check, naming the first wrong edge in sorted order; a Z(K) holding
     # every order puts every bucket inside every other
-    def everything(k):
-        return frozenset(divisors(k.modulus)[1:])
-
-    monkeypatch.setattr(graphs, "vanishing_set", everything)
+    monkeypatch.setattr(graphs, "zero_mask", lambda ctx, elements: (1 << len(ctx.orders)) - 1)
     # {1,3} is screened out (3 does not divide 2), so {1,2} and {1,6} are
     # the buckets; {0,1} with itself is the first edge that is not Hadamard
     with pytest.raises(

@@ -1,8 +1,10 @@
 import random
+from functools import lru_cache
 
 import pytest
 
 from fourier_hadamard.numtheory import (
+    ModulusContext,
     _is_prime,
     cyclotomic_at_one,
     divisors,
@@ -167,6 +169,21 @@ def test_is_prime_sum_large_weights():
     # 3a + 5b reaches every w >= 8; the largest w that 7a + 11b misses is 59
     assert is_prime_sum(10**4 + 1, (3, 5)) and not is_prime_sum(7, (3, 5))
     assert not is_prime_sum(59, (7, 11)) and all(is_prime_sum(w, (7, 11)) for w in range(60, 200))
+
+
+@lru_cache(maxsize=None)
+def _is_prime_sum(w, primes):
+    return w == 0 or any(p <= w and _is_prime_sum(w - p, primes) for p in primes)
+
+
+def test_sum_mask_matches_recursive_prime_sums():
+    # bit i stands for the order m/g of the i-th divisor g < m of m
+    for m in range(1, 1001):
+        primes = [tuple(p for p, _ in factorize(m // g)) for g in range(1, m) if m % g == 0]
+        ctx = ModulusContext(m)
+        for n in range(1, 17):
+            expected = sum(1 << i for i, ps in enumerate(primes) if _is_prime_sum(n, ps))
+            assert ctx.sum_mask(n) == expected, (m, n)
 
 
 def test_cyclotomic_value_at_one_agrees():
