@@ -132,7 +132,7 @@ def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
     least member.  If 2n > m, x and x + d meet for every d, so every bit is
     set and the one bucket's least member is (0, 1, ..., n-1).  Otherwise
     a subset's mask ORs table[b - a] = bit[gcd(m, b - a)] over its pairs
-    a < b, as ``primitive_set`` does, and the least member (0, a_1, ...) of
+    a < b, as ``hadamard.prim_mask`` does, and the least member (0, a_1, ...) of
     a bucket has a_1 | m: some unit u has u * a_1 = g = gcd(m, a_1) (lift
     the unit a_1 / g mod m / g and invert it), multiplying by u keeps every
     gcd(m, b - a), and u * x holds 0 and g, so it would be smaller if
@@ -424,6 +424,9 @@ def import_json(text: str) -> CompatGraph:
             v = PrimitiveSet(int(part) for part in key.split(","))
         except ValueError as exc:
             raise GraphFormatError(f"{where}: bad key: {exc}") from exc
+        # one spelling per vertex, so that no two keys name the same one
+        if key != _key(v):
+            raise GraphFormatError(f"{where}: key is not canonical, expected {_key(v)!r}")
         if v not in vertex_set:
             raise GraphFormatError(f"{where}: {v} is not a vertex")
         elems = _expect_int_list(raw, where)

@@ -6,11 +6,16 @@ the matrix is square and its rows are orthogonal.  Two distinct rows j1, j2
 are orthogonal iff the column polynomial K(z) = sum of z^k vanishes at
 e^(2*pi*i*(j1-j2)/m), a primitive s-th root of unity for
 s = m/gcd(m, j1-j2); vanishing there is equivalent to the s-th cyclotomic
-polynomial dividing K(z).  The exact oracle below is nothing more than that
-vanishing test over the primitive set of J.  The test never builds a
-polynomial: it splits the exponents of K by residue classes, one prime of s
-at a time (the constructive side of the Redei-de Bruijn-Schoenberg
-theorem), so every decision is pure integer arithmetic on |K| exponents.
+polynomial dividing K(z).  So H_(J,K) is Hadamard exactly when P(J) minus
+{1} lies inside Z(K), the orders at which K(z) vanishes.  Both are masks
+over the divisor bits of m's context, ``prim_mask`` and ``zero_mask``, and
+every exact verdict of the package (the oracle, the tiling certificate, the
+graph builder, the oracle sweeps) is the one test whether
+``prim_mask(J) & ~zero_mask(K)`` is 0.  ``zero_mask`` alone runs the
+vanishing test, which never builds a polynomial: it splits the exponents of
+K by residue classes, one prime of s at a time (the constructive side of
+the Redei-de Bruijn-Schoenberg theorem), so every decision is pure integer
+arithmetic on |K| exponents.
 
 Alongside the oracle: an independent floating-point cross-check, two
 necessary-condition screens that can rule a row set out without any K, a
@@ -25,7 +30,8 @@ import cmath
 from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
-from math import inf, prod
+from itertools import combinations
+from math import gcd, inf, prod
 from operator import mul
 
 from .numtheory import ModulusContext, is_prime_sum, modulus_context, p_adic_extremes
@@ -37,6 +43,7 @@ __all__ = [
     "SubmatrixSpec",
     "SubmatrixVerdict",
     "RULES",
+    "prim_mask",
     "zero_mask",
     "vanishing_set",
     "is_hadamard_exact",
@@ -185,17 +192,36 @@ def _root_sum_vanishes(terms: dict[int, int], primes: tuple[int, ...]) -> bool:
     return True
 
 
-def zero_mask(ctx: ModulusContext, elements: tuple[int, ...]) -> int:
-    """Z(K) as a mask over the divisor bits of m's context: the orders s > 1
-    of m at which K(z), given by its exponents in ascending order, vanishes,
-    i.e. Phi_s divides K(z).  H_(J,K) is Hadamard iff the mask of P(J) minus
-    {1} lies inside it.  Only the orders of ``ctx.sum_mask(|K|)`` are tested:
-    at no other does a sum of |K| roots of unity vanish (Lam and Leung)."""
-    candidates = ctx.sum_mask(len(elements))
+def prim_mask(ctx: ModulusContext, elements: tuple[int, ...]) -> int:
+    """P(J) minus {1} as a mask over the divisor bits of m's context: the OR
+    of ``ctx.bit[gcd(m, b - a)]`` over the pairs of J's distinct residues.
+    With fewer than two elements the mask is 0 and ``ctx.bit`` is never read,
+    so a singleton never factorizes m."""
+    if len(elements) < 2:
+        return 0
+    m, bit = ctx.m, ctx.bit
     mask = 0
-    for i, s in enumerate(ctx.orders):
-        if candidates >> i & 1 and _cyclotomic_divides(s, elements, ctx.primes_of(s)):
+    for a, b in combinations(elements, 2):
+        mask |= bit[gcd(m, b - a)]
+    return mask
+
+
+def zero_mask(ctx: ModulusContext, elements: tuple[int, ...], within: int = -1) -> int:
+    """Z(K), or its part inside the mask within, over the divisor bits of
+    m's context: the orders s > 1 of m at which K(z), given by its exponents
+    in ascending order, vanishes, i.e. Phi_s divides K(z).  H_(J,K) is
+    Hadamard iff ``prim_mask(J) & ~zero_mask(K)`` is 0.  Only the orders of
+    ``ctx.sum_mask(|K|) & within`` are tested: at no order outside the sum
+    mask does a sum of |K| roots of unity vanish (Lam and Leung), and a
+    caller that needs only P(J)'s orders passes its mask as within."""
+    candidates = ctx.sum_mask(len(elements)) & within
+    mask = 0
+    while candidates:
+        i = candidates.bit_length() - 1
+        s = ctx.orders[i]
+        if _cyclotomic_divides(s, elements, ctx.primes_of(s)):
             mask |= 1 << i
+        candidates ^= 1 << i
     return mask
 
 
@@ -206,22 +232,26 @@ def vanishing_set(k: ResidueSet) -> frozenset[int]:
 
 
 def is_hadamard_exact(spec: SubmatrixSpec) -> SubmatrixVerdict:
-    """Exact oracle: Hadamard iff the s-th cyclotomic polynomial divides the
-    column polynomial for every s > 1 in the primitive set of the rows.
+    """Exact oracle: Hadamard iff P(J) minus {1} lies inside Z(K), the
+    orders s at which the s-th cyclotomic polynomial divides the column
+    polynomial.  Never inconclusive.
 
-    Each divisibility is the sparse vanishing test on K's exponents: no
-    polynomial is built, and apart from factorizing m once per context
-    the cost does not grow with m.  Never inconclusive.  On failure the
-    witness carries the first s whose cyclotomic does not divide K(z).
+    Asks ``zero_mask`` for the bits of ``prim_mask(J)`` one at a time, top
+    bit (the least order) first, and stops at the first failure, the least
+    s whose cyclotomic does not divide K(z), which the witness carries.  No
+    primitive set or polynomial is built.  Only m's context grows with m:
+    its factorization, divisor bits and sum masks are built once per
+    modulus, and never for a singleton J.
     """
     ctx = modulus_context(spec.m)
-    for s in primitive_set(spec.j).without_one():
-        if not _cyclotomic_divides(s, spec.k.elements, ctx.primes_of(s)):
+    prims = prim_mask(ctx, spec.j.elements)
+    while prims:
+        i = prims.bit_length() - 1
+        if not zero_mask(ctx, spec.k.elements, 1 << i):
             return SubmatrixVerdict(
-                Decision.NOT_HADAMARD,
-                "exact",
-                {"kind": "cyclotomic", "s": s},
+                Decision.NOT_HADAMARD, "exact", {"kind": "cyclotomic", "s": ctx.orders[i]}
             )
+        prims ^= 1 << i
     return SubmatrixVerdict(Decision.HADAMARD, "exact")
 
 
@@ -264,10 +294,14 @@ def screen_prime_powers(m: int, prims: PrimitiveSet) -> Screen:
 
     In that case the size divisor equals m, forcing the row set to be all of
     {0..m-1}, whose primitive set has every divisor; the gap is a
-    contradiction.  Elements that do not divide m raise ValueError.
+    contradiction.  Elements that do not divide m raise ValueError.  {1},
+    the primitive set of a singleton, is inconclusive at every m (it holds
+    no prime power, and at m = 1 misses no divisor), so m is not factorized.
     """
     if any(m % s for s in prims):
         raise ValueError(f"{prims} has elements not dividing m={m}")
+    if len(prims) == 1:
+        return Screen.INCONCLUSIVE
     ctx = modulus_context(m)
     prime_powers = [p**t for p, e in ctx.factorization for t in range(1, e + 1)]
     if all(q in prims for q in prime_powers) and any(
@@ -284,7 +318,9 @@ def certify_by_complement(j: ResidueSet, k: ResidueSet, a) -> Decision:
     anything else is a caller error, not an inconclusive answer.  If no
     cyclotomic over the primitive set of j divides A(z), the vanishing sums
     that make the full Fourier matrix orthogonal must come from K(z), so the
-    submatrix is Hadamard.  A divisible A(z) proves nothing either way.
+    submatrix is Hadamard.  A divisible A(z) proves nothing either way.  The
+    test is one mask: Z(A) is computed only at the orders of
+    ``prim_mask(j)``, and any bit it keeps makes the answer inconclusive.
     """
     if j.modulus != k.modulus:
         raise ValueError("row and column sets must share a modulus")
@@ -309,10 +345,8 @@ def certify_by_complement(j: ResidueSet, k: ResidueSet, a) -> Decision:
     if any(count != 1 for count in seen):
         raise ValueError("k + a is not a complete residue system mod m")
     ctx = modulus_context(m)
-    for s in primitive_set(j).without_one():
-        if _cyclotomic_divides(s, a_elems, ctx.primes_of(s)):
-            return Decision.INCONCLUSIVE
-    return Decision.HADAMARD
+    prim = prim_mask(ctx, j.elements)
+    return Decision.INCONCLUSIVE if prim & zero_mask(ctx, a_elems, prim) else Decision.HADAMARD
 
 
 def find_complement(k: ResidueSet) -> set[int] | None:

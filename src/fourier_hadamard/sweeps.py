@@ -7,26 +7,25 @@ part would enumerate more than the graph builder's MAX_SUBSETS subsets
 raise ValueError too, before any work.  The CLI runs them behind the
 ``verify`` subcommand; the test suite asserts they come back clean.  The
 oracle sweeps group the 0-containing subsets, plain tuples, into classes
-by the divisor masks of P(x) minus {1} and of Z(x) (``zero_mask``).  The
-closed form reads only the primitive sets, built once per class, and the
-exact verdict only whether the mask of P(J) lies inside Z(K), so each
-class pair is decided once, by both sides, and stands for all of its
-subset pairs.  The vertex-set checks (disjointness across sizes,
-containment under scaling) live here and build each graph they compare
-once per call.
+by the divisor masks of P(x) minus {1} and of Z(x) (``prim_mask`` and
+``zero_mask``).  The closed form reads only the primitive sets, built once
+per class, and the exact verdict is the oracle's own test, whether
+``prim_mask(J) & ~zero_mask(K)`` is 0, so each class pair is decided once,
+by both sides, and stands for all of its subset pairs.  The vertex-set
+checks (disjointness across sizes, containment under scaling) live here
+and build each graph they compare once per call.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
-from operator import or_
 
 from .graphs import MAX_SUBSETS, build_graph
-from .hadamard import Decision, decide_2x2_general, decide_3x3, zero_mask
+from .hadamard import Decision, decide_2x2_general, decide_3x3, prim_mask, zero_mask
 from .numtheory import modulus_context, p_adic_extremes
 from .primsets import PrimitiveSet, ResidueSet
 
@@ -75,14 +74,12 @@ def _oracle_equivalence(m_max: int, n: int, fast_test) -> dict | None:
         raise ValueError(f"oracle{n} has more than {MAX_SUBSETS} subsets to check for m_max = {m_max}")
     for m in range(n, m_max + 1):
         ctx = modulus_context(m)
-        table = [0, *(ctx.bit[gcd(m, d)] for d in range(1, m))]
         subsets = [(0, *t) for t in combinations(range(1, m), n - 1)]
         # the indices of the 0-containing subsets, in enumeration order, in
         # classes by the masks of P(x) and Z(x); both verdicts read only these
         classes: dict[tuple[int, int], list[int]] = {}
         for i, x in enumerate(subsets):
-            prims = reduce(or_, [table[b - a] for a, b in combinations(x, 2)])
-            classes.setdefault((prims, zero_mask(ctx, x)), []).append(i)
+            classes.setdefault((prim_mask(ctx, x), zero_mask(ctx, x)), []).append(i)
         sets = {pj: PrimitiveSet([1, *ctx.orders_of(pj)]) for pj, _ in classes}
         first = None
         for (pj, _), rows in classes.items():

@@ -9,8 +9,10 @@ import pytest
 
 import fourier_hadamard
 import reference_builder
+from fourier_hadamard import numtheory
 from fourier_hadamard.cli import main
 from fourier_hadamard.graphs import export_json
+from fourier_hadamard.numtheory import modulus_context
 
 
 def run(argv, capsys):
@@ -34,6 +36,20 @@ def test_primset_json(capsys):
     assert doc["primitive_set"] == [1, 2, 3, 4, 12]
     assert doc["size_divisor"] == 12
     assert doc["prime_power_screen"] == "ruled-out"
+
+
+def test_primset_of_a_singleton_never_factorizes(capsys, monkeypatch):
+    # P = {1} is inconclusive for the prime-power screen at every m, so the
+    # Mersenne prime 2^89 - 1 is never factorized
+    def refuse(m):
+        raise AssertionError(f"factorize({m}) called")
+
+    monkeypatch.setattr(numtheory, "factorize", refuse)
+    modulus_context.cache_clear()
+    m = 2**89 - 1
+    code, out, _ = run(["primset", "-m", str(m), "0"], capsys)
+    assert code == 0
+    assert "P(X) = {1}" in out and "prime power screen: inconclusive" in out
 
 
 def test_primset_factorizes_the_modulus_once(capsys, factorize_calls):

@@ -382,6 +382,11 @@ MALFORMED = [
     (_appended("edges", [[1, 2], [1, 3]]), "edges[2]: endpoint {1,3} is not a vertex"),
     (_replaced("representatives", value=[]), "representatives: expected an object"),
     (_replaced("representatives", "x", value=[0, 1]), "representatives['x']: bad key: "),
+    *(
+        (_replaced("representatives", key, value=[0, 1]),
+         f"representatives[{key!r}]: key is not canonical, expected '1,6'")
+        for key in ("6,1", "1, 6", "1,6,6", "+1,6", "1,0_6")
+    ),
     (_replaced("representatives", "1,3", value=[0, 2]),
      "representatives['1,3']: {1,3} is not a vertex"),
     (_replaced("representatives", "1,2", value="x"),

@@ -18,6 +18,7 @@ from fourier_hadamard.hadamard import (
     is_hadamard,
     is_hadamard_exact,
     is_hadamard_numeric,
+    prim_mask,
     screen_prime_powers,
     screen_size_divisor,
     vanishing_set,
@@ -26,7 +27,8 @@ from fourier_hadamard.hadamard import (
     decide_2x2_twice_prime,
     decide_3x3,
 )
-from fourier_hadamard.numtheory import divisors, factorize
+from fourier_hadamard import numtheory
+from fourier_hadamard.numtheory import divisors, factorize, modulus_context
 from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, primitive_set, shift
 from hypothesis import event, given, settings, strategies as st
 
@@ -70,17 +72,22 @@ def test_exact_oracle_matches_unmemoized_divisibility():
             if 2 * t < m:
                 for k in small_k:
                     is_hadamard_exact(spec(m, (0, t, 2 * t), k))
+    # a NOT_HADAMARD witness is the least s in P(J) minus {1} whose dense
+    # Phi_s does not divide K(z), which `fhad test` prints
     for m in range(12, 19):
         subsets = [(0,) + t for t in combinations(range(1, m), 2)]
+        prims = [primitive_set(ResidueSet(m, j)).without_one() for j in subsets]
         for k in subsets:
             kpoly = set_polynomial(k)
-            for j in subsets:
-                expected = all(
-                    poly_divides(cyclotomic(s), kpoly)
-                    for s in primitive_set(ResidueSet(m, j)).without_one()
-                )
-                got = is_hadamard_exact(spec(m, j, k)).decision is Decision.HADAMARD
-                assert got == expected, (m, j, k)
+            zeros = {s for s in divisors(m)[1:] if poly_divides(cyclotomic(s), kpoly)}
+            for j, pj in zip(subsets, prims):
+                failing = [s for s in pj if s not in zeros]
+                verdict = is_hadamard_exact(spec(m, j, k))
+                if failing:
+                    expected = (Decision.NOT_HADAMARD, {"kind": "cyclotomic", "s": failing[0]})
+                else:
+                    expected = (Decision.HADAMARD, None)
+                assert (verdict.decision, verdict.witness) == expected, (m, j, k)
 
 
 def test_vanishing_set_matches_dense_divisibility():
@@ -190,6 +197,41 @@ def test_exact_oracle_large_modulus(m):
     sp = spec(m, (0, 1, 2, 3), (0, q, 2 * q, 3 * q))
     assert is_hadamard_exact(sp).decision is Decision.HADAMARD
     assert vanishing_set(sp.k) == {s for s in divisors(m) if q % s}
+
+
+def _mask_of(m, prims):
+    """The mask of a primitive set minus {1} over the divisor bits of m:
+    order s stands for the divisor m // s."""
+    bit = modulus_context(m).bit
+    return sum(bit[m // s] for s in prims.without_one())
+
+
+def test_prim_mask_matches_primitive_set_exhaustive():
+    for m in range(1, 41):
+        ctx = modulus_context(m)
+        for size in range(1, min(4, m) + 1):
+            for t in combinations(range(1, m), size - 1):
+                x = (0, *t)
+                assert prim_mask(ctx, x) == _mask_of(m, primitive_set(ResidueSet(m, x))), (m, x)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_prim_mask_matches_primitive_set_random(data):
+    m = data.draw(st.sampled_from([720_720, 10**12]))
+    x = tuple(sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=8))))
+    assert prim_mask(modulus_context(m), x) == _mask_of(m, primitive_set(ResidueSet(m, x)))
+
+
+def test_singletons_never_factorize(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"factorize({m}) called")
+
+    monkeypatch.setattr(numtheory, "factorize", refuse)
+    modulus_context.cache_clear()
+    m = 2**89 - 1  # prime: trial division would never finish
+    assert prim_mask(modulus_context(m), (5,)) == 0
+    assert is_hadamard_exact(spec(m, (5,), (7,))) == SubmatrixVerdict(Decision.HADAMARD, "exact")
 
 
 def test_exact_oracle_factorizes_the_modulus_once(factorize_calls):
