@@ -7,15 +7,13 @@ are orthogonal iff the column polynomial K(z) = sum of z^k vanishes at
 e^(2*pi*i*(j1-j2)/m), a primitive s-th root of unity for
 s = m/gcd(m, j1-j2); vanishing there is equivalent to the s-th cyclotomic
 polynomial dividing K(z).  So H_(J,K) is Hadamard exactly when P(J) minus
-{1} lies inside Z(K), the orders at which K(z) vanishes.  Both are masks
-over the divisor bits of m's context, ``prim_mask`` and ``zero_mask``, and
-every exact verdict of the package (the oracle, the tiling certificate, the
-graph builder, the oracle sweeps) is the one test whether
-``prim_mask(J) & ~zero_mask(K)`` is 0.  ``zero_mask`` alone runs the
-vanishing test, which never builds a polynomial: it splits the exponents of
-K by residue classes, one prime of s at a time (the constructive side of
-the Redei-de Bruijn-Schoenberg theorem), so every decision is pure integer
-arithmetic on |K| exponents.
+{1} lies inside Z(K), the orders at which K(z) vanishes.  The one vanishing
+test never builds a polynomial: it splits the exponents of K by residue
+classes, one prime of s at a time (the constructive side of the Redei-de
+Bruijn-Schoenberg theorem), so every decision is pure integer arithmetic on
+|K| exponents.  Callers that reuse a modulus test the inclusion as
+``prim_mask(J) & ~zero_mask(K)``, masks over every divisor of m; a single
+query tests only P(J)'s orders, so it never lists the divisors of m.
 
 Alongside the oracle: an independent floating-point cross-check, two
 necessary-condition screens that can rule a row set out without any K, a
@@ -206,22 +204,18 @@ def prim_mask(ctx: ModulusContext, elements: tuple[int, ...]) -> int:
     return mask
 
 
-def zero_mask(ctx: ModulusContext, elements: tuple[int, ...], within: int = -1) -> int:
-    """Z(K), or its part inside the mask within, over the divisor bits of
-    m's context: the orders s > 1 of m at which K(z), given by its exponents
-    in ascending order, vanishes, i.e. Phi_s divides K(z).  H_(J,K) is
-    Hadamard iff ``prim_mask(J) & ~zero_mask(K)`` is 0.  Only the orders of
-    ``ctx.sum_mask(|K|) & within`` are tested: at no order outside the sum
-    mask does a sum of |K| roots of unity vanish (Lam and Leung), and a
-    caller that needs only P(J)'s orders passes its mask as within."""
-    candidates = ctx.sum_mask(len(elements)) & within
+def zero_mask(ctx: ModulusContext, elements: tuple[int, ...]) -> int:
+    """Z(K) as a mask over the divisor bits of m's context: the orders s > 1
+    of m at which K(z), given by its exponents in ascending order, vanishes,
+    i.e. Phi_s divides K(z).  H_(J,K) is Hadamard iff
+    ``prim_mask(J) & ~zero_mask(K)`` is 0.  Only the orders of
+    ``ctx.sum_mask(|K|)`` are tested: at no other does a sum of |K| roots of
+    unity vanish (Lam and Leung)."""
+    candidates = ctx.sum_mask(len(elements))
     mask = 0
-    while candidates:
-        i = candidates.bit_length() - 1
-        s = ctx.orders[i]
-        if _cyclotomic_divides(s, elements, ctx.primes_of(s)):
+    for i, s in enumerate(ctx.orders):
+        if candidates >> i & 1 and _cyclotomic_divides(s, elements, ctx.primes_of(s)):
             mask |= 1 << i
-        candidates ^= 1 << i
     return mask
 
 
@@ -232,26 +226,23 @@ def vanishing_set(k: ResidueSet) -> frozenset[int]:
 
 
 def is_hadamard_exact(spec: SubmatrixSpec) -> SubmatrixVerdict:
-    """Exact oracle: Hadamard iff P(J) minus {1} lies inside Z(K), the
-    orders s at which the s-th cyclotomic polynomial divides the column
-    polynomial.  Never inconclusive.
+    """Exact oracle: Hadamard iff the s-th cyclotomic polynomial divides the
+    column polynomial for every s > 1 in the primitive set of the rows.
 
-    Asks ``zero_mask`` for the bits of ``prim_mask(J)`` one at a time, top
-    bit (the least order) first, and stops at the first failure, the least
-    s whose cyclotomic does not divide K(z), which the witness carries.  No
-    primitive set or polynomial is built.  Only m's context grows with m:
-    its factorization, divisor bits and sum masks are built once per
-    modulus, and never for a singleton J.
+    Each divisibility is the sparse vanishing test on K's exponents, at the
+    orders of P(J) alone: no polynomial is built and no divisor of m is
+    listed, so apart from factorizing m once per context the cost does not
+    grow with m.  Never inconclusive.  On failure the witness carries the
+    first s whose cyclotomic does not divide K(z).
     """
     ctx = modulus_context(spec.m)
-    prims = prim_mask(ctx, spec.j.elements)
-    while prims:
-        i = prims.bit_length() - 1
-        if not zero_mask(ctx, spec.k.elements, 1 << i):
+    for s in primitive_set(spec.j).without_one():
+        if not _cyclotomic_divides(s, spec.k.elements, ctx.primes_of(s)):
             return SubmatrixVerdict(
-                Decision.NOT_HADAMARD, "exact", {"kind": "cyclotomic", "s": ctx.orders[i]}
+                Decision.NOT_HADAMARD,
+                "exact",
+                {"kind": "cyclotomic", "s": s},
             )
-        prims ^= 1 << i
     return SubmatrixVerdict(Decision.HADAMARD, "exact")
 
 
@@ -318,9 +309,7 @@ def certify_by_complement(j: ResidueSet, k: ResidueSet, a) -> Decision:
     anything else is a caller error, not an inconclusive answer.  If no
     cyclotomic over the primitive set of j divides A(z), the vanishing sums
     that make the full Fourier matrix orthogonal must come from K(z), so the
-    submatrix is Hadamard.  A divisible A(z) proves nothing either way.  The
-    test is one mask: Z(A) is computed only at the orders of
-    ``prim_mask(j)``, and any bit it keeps makes the answer inconclusive.
+    submatrix is Hadamard.  A divisible A(z) proves nothing either way.
     """
     if j.modulus != k.modulus:
         raise ValueError("row and column sets must share a modulus")
@@ -345,8 +334,10 @@ def certify_by_complement(j: ResidueSet, k: ResidueSet, a) -> Decision:
     if any(count != 1 for count in seen):
         raise ValueError("k + a is not a complete residue system mod m")
     ctx = modulus_context(m)
-    prim = prim_mask(ctx, j.elements)
-    return Decision.INCONCLUSIVE if prim & zero_mask(ctx, a_elems, prim) else Decision.HADAMARD
+    for s in primitive_set(j).without_one():
+        if _cyclotomic_divides(s, a_elems, ctx.primes_of(s)):
+            return Decision.INCONCLUSIVE
+    return Decision.HADAMARD
 
 
 def find_complement(k: ResidueSet) -> set[int] | None:

@@ -9,8 +9,9 @@ raise ValueError too, before any work.  The CLI runs them behind the
 oracle sweeps group the 0-containing subsets, plain tuples, into classes
 by the divisor masks of P(x) minus {1} and of Z(x) (``prim_mask`` and
 ``zero_mask``).  The closed form reads only the primitive sets, built once
-per class, and the exact verdict is the oracle's own test, whether
-``prim_mask(J) & ~zero_mask(K)`` is 0, so each class pair is decided once,
+per class, and the exact verdict only whether ``prim_mask(J) &
+~zero_mask(K)`` is 0, the inclusion that the oracle tests order by order,
+so each class pair is decided once,
 by both sides, and stands for all of its subset pairs.  The vertex-set
 checks (disjointness across sizes, containment under scaling) live here
 and build each graph they compare once per call.

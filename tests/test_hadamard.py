@@ -2,7 +2,7 @@ import random
 import re
 import sys
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -232,6 +232,26 @@ def test_singletons_never_factorize(monkeypatch):
     m = 2**89 - 1  # prime: trial division would never finish
     assert prim_mask(modulus_context(m), (5,)) == 0
     assert is_hadamard_exact(spec(m, (5,), (7,))) == SubmatrixVerdict(Decision.HADAMARD, "exact")
+
+
+def test_exact_oracle_never_lists_the_divisors(monkeypatch):
+    # the product of the first 30 primes factorizes at once but has 2^30
+    # divisors: one query tests only the orders of P(J), so it lists none
+    def refuse(ctx):
+        raise AssertionError(f"divisors of {ctx.m} listed")
+
+    monkeypatch.setattr(numtheory.ModulusContext, "divisors", property(refuse))
+    modulus_context.cache_clear()
+    m = prod(p for p in range(2, 114) if all(p % q for q in range(2, p)))
+    assert len(factorize(m)) == 30
+    assert is_hadamard_exact(spec(m, (0, 1, 2, 3), (0, 1, 2, 3))) == SubmatrixVerdict(
+        Decision.NOT_HADAMARD, "exact", {"kind": "cyclotomic", "s": m // 3}
+    )
+    half = m // 2
+    assert is_hadamard_exact(spec(m, (0, half), (0, 1))).decision is Decision.HADAMARD
+    # the tiling certificate walks P(J)'s orders the same way
+    j, k = ResidueSet(6, (0, 3)), ResidueSet(6, (0, 1))
+    assert certify_by_complement(j, k, (0, 2, 4)) is Decision.HADAMARD
 
 
 def test_exact_oracle_factorizes_the_modulus_once(factorize_calls):
