@@ -17,7 +17,7 @@ the other's Z.  The exact oracle then re-checks every edge.
 from __future__ import annotations
 
 import json
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd
 from operator import or_
 
@@ -78,8 +78,9 @@ def build_graph(m: int, n: int) -> CompatGraph:
     Only masks that pass two necessary conditions for lying on an edge
     (see ``_screen``) are walked and kept, so no other bucket is built or
     has its Z computed.  Buckets p <= q are joined iff the mask of p lies
-    inside Z(q), and the vertices are the buckets on an edge.  Every edge is then
-    re-checked by the exact oracle; a failure raises VerificationError.
+    inside Z(q), and the vertices are the buckets on an edge (for n = 1,
+    the loop at {1}: no special case).  Every edge is then re-checked by
+    the exact oracle; a failure raises VerificationError.
     More than MAX_SUBSETS subsets or witness differences raise ValueError
     up front.
     """
@@ -95,9 +96,7 @@ def build_graph(m: int, n: int) -> CompatGraph:
         (PrimitiveSet([1, *ctx.orders_of(mask)]), mask, least)
         for mask, least in _least_members(ctx, n).items()
     )
-    # a singleton's mask is 0 and passes against any Z, so n = 1 skips Z
-    # and never factorizes m, which may be too large to factorize
-    zeros = [zero_mask(ctx, k) if n > 1 else 0 for _, _, k in buckets]
+    zeros = [zero_mask(ctx, k) for _, _, k in buckets]
     # p joins q iff mask(p) & ~Z(q) == 0; many buckets share one Z, so the
     # buckets inside each distinct Z are listed once
     inside: dict[int, list[PrimitiveSet]] = {}
@@ -111,8 +110,7 @@ def build_graph(m: int, n: int) -> CompatGraph:
         if p <= q
     )
     vertices = frozenset(v for pair in edges for v in pair)
-    witnesses = {p: k for p, _, k in buckets}
-    representatives = {v: ResidueSet(m, witnesses[v]) for v in sorted(vertices)}
+    representatives = {p: ResidueSet(m, k) for p, _, k in buckets if p in vertices}
     graph = CompatGraph(m, n, vertices, edges, representatives)
     if bad := _reverify_edges(graph):
         raise VerificationError(
@@ -148,9 +146,9 @@ def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
     screen failed by a mask is failed by every mask holding it, so a
     prefix that fails is not extended: no mask that passes loses a member,
     and the least member of each keeps every prefix.  At n - 1 elements
-    near holds whole subsets' masks, searched only for masks not seen
-    before; the ones that fail are dropped at the end.  The recursion is
-    n - 1 deep and memory O(n m).
+    near holds whole subsets' masks, met in lexicographic order, so each
+    mask keeps the first subset that shows it; the ones that fail are
+    dropped at the end.  The recursion is n - 1 deep and memory O(n m).
     """
     m = ctx.m
     if n == 1:
@@ -160,7 +158,7 @@ def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
     if n == 2:
         return {mask: (0, g) for g, mask in bit.items() if passes(mask)}
     if 2 * n > m:
-        mask = reduce(or_, bit.values())
+        mask = (1 << len(bit)) - 1
         return {mask: tuple(range(n))} if passes(mask) else {}
     table = [0, *(bit[gcd(m, d)] for d in range(1, m))]
     least = {}
@@ -168,13 +166,9 @@ def _least_members(ctx: ModulusContext, n: int) -> dict[int, tuple[int, ...]]:
     def walk(path: tuple[int, ...], near: list[int]) -> None:
         lo = path[-1] + 1
         if len(path) == n - 1:
-            if fresh := set(near).difference(least):
-                for c, mask in enumerate(near, lo):
-                    if mask in fresh:
-                        fresh.remove(mask)
-                        least[mask] = (*path, c)
-                        if not fresh:
-                            break
+            for c, mask in enumerate(near, lo):
+                if mask not in least:
+                    least[mask] = (*path, c)
             return
         # c leaves room for the n - 1 - len(path) elements after it, the
         # last of them at most m - 2
@@ -203,7 +197,7 @@ def _screen(ctx: ModulusContext, n: int):
       sum of primes of s (Lam and Leung): the mask lies inside
       ``ctx.sum_mask(n)``, one AND with its complement;
     - the size divisor C(P(J)), the product of p over the powers p^a in
-      P(J), divides n.
+      P(J), divides n: the paper's screen, read through ``size_divisor``.
     Adding bits never passes a failing mask.
     """
     outside = ~ctx.sum_mask(n)
@@ -211,14 +205,7 @@ def _screen(ctx: ModulusContext, n: int):
     # a walk asks about the same few hundred masks many times over
     @lru_cache(maxsize=None)
     def passes(mask: int) -> bool:
-        if mask & outside:
-            return False
-        divisor = 1
-        for s in ctx.orders_of(mask):
-            primes = ctx.primes_of(s)
-            if len(primes) == 1:
-                divisor *= primes[0]
-        return n % divisor == 0
+        return not mask & outside and n % size_divisor(PrimitiveSet([1, *ctx.orders_of(mask)])) == 0
 
     return passes
 

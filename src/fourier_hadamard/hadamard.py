@@ -210,7 +210,10 @@ def zero_mask(ctx: ModulusContext, elements: tuple[int, ...]) -> int:
     i.e. Phi_s divides K(z).  H_(J,K) is Hadamard iff
     ``prim_mask(J) & ~zero_mask(K)`` is 0.  Only the orders of
     ``ctx.sum_mask(|K|)`` are tested: at no other does a sum of |K| roots of
-    unity vanish (Lam and Leung)."""
+    unity vanish (Lam and Leung), and a one-element K, one root that never
+    sums to 0, reads no divisor, so it never factorizes m."""
+    if len(elements) == 1:
+        return 0
     candidates = ctx.sum_mask(len(elements))
     mask = 0
     for i, s in enumerate(ctx.orders):
@@ -220,7 +223,8 @@ def zero_mask(ctx: ModulusContext, elements: tuple[int, ...]) -> int:
 
 
 def vanishing_set(k: ResidueSet) -> frozenset[int]:
-    """Z(K) as a set of orders, read off ``zero_mask``."""
+    """Z(K) as a set of orders, read off ``zero_mask``; a one-element K
+    reads no divisor."""
     ctx = modulus_context(k.modulus)
     return frozenset(ctx.orders_of(zero_mask(ctx, k.elements)))
 

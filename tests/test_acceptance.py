@@ -133,20 +133,19 @@ def _transfer_counterexample(m_max, n_values=(2, 3)):
         for n in n_values:
             if n > m:
                 continue
+            # one ResidueSet per row set, reused against every column set
             buckets = {}
             for elems in combinations(range(m), n):
-                p = primitive_set(ResidueSet(m, elems))
-                buckets.setdefault(p, []).append(elems)
+                j = ResidueSet(m, elems)
+                buckets.setdefault(primitive_set(j), []).append(j)
             # shifting a column set never changes the verdict (checked above),
             # so 0-containing column sets cover all of them
             for tail in combinations(range(1, m), n - 1):
                 kres = ResidueSet(m, (0,) + tail)
                 for p, members in buckets.items():
                     first = None
-                    for j_elems in members:
-                        d = is_hadamard_exact(
-                            SubmatrixSpec(m, ResidueSet(m, j_elems), kres)
-                        ).decision
+                    for j in members:
+                        d = is_hadamard_exact(SubmatrixSpec(m, j, kres)).decision
                         if first is None:
                             first = d
                         elif d is not first:

@@ -28,6 +28,7 @@ from fourier_hadamard.hadamard import (
     decide_3x3,
 )
 from fourier_hadamard import numtheory
+from fourier_hadamard.graphs import build_graph
 from fourier_hadamard.numtheory import divisors, factorize, modulus_context
 from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, primitive_set, shift
 from hypothesis import event, given, settings, strategies as st
@@ -232,6 +233,12 @@ def test_singletons_never_factorize(monkeypatch):
     m = 2**89 - 1  # prime: trial division would never finish
     assert prim_mask(modulus_context(m), (5,)) == 0
     assert is_hadamard_exact(spec(m, (5,), (7,))) == SubmatrixVerdict(Decision.HADAMARD, "exact")
+    # one root of unity never sums to 0, so Z of a singleton is read off
+    # without a divisor, and G(m,1) is the loop at {1}
+    assert vanishing_set(ResidueSet(m, (5,))) == frozenset()
+    g = build_graph(m, 1)
+    assert g.vertices == {PrimitiveSet([1])}
+    assert g.edges == {(PrimitiveSet([1]), PrimitiveSet([1]))}
 
 
 def test_exact_oracle_never_lists_the_divisors(monkeypatch):

@@ -182,6 +182,23 @@ def test_size_divisor_examples():
     assert size_divisor(primitive_set(ResidueSet(5, (0,)))) == 1
 
 
+def test_size_divisor_matches_sympy():
+    # the product of Phi_s(1) over P minus {1}, evaluated by sympy, which
+    # shares no factorization with the package
+    sympy = pytest.importorskip("sympy")
+    at_one = {}
+    for m in range(1, 41):
+        for size in range(1, min(4, m) + 1):
+            for t in combinations(range(1, m), size - 1):
+                p = primitive_set(ResidueSet(m, (0, *t)))
+                expected = 1
+                for s in p.without_one():
+                    if s not in at_one:
+                        at_one[s] = int(sympy.cyclotomic_poly(s, 1))
+                    expected *= at_one[s]
+                assert size_divisor(p) == expected, (m, t)
+
+
 def test_shift_examples():
     assert shift(ResidueSet(6000, (0, 5, 375)), 10).elements == (10, 15, 385)
     assert shift(ResidueSet(6, (0, 4)), -4).elements == (0, 2)
