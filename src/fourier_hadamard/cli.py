@@ -216,7 +216,7 @@ def cmd_verify(args) -> int:
 
     def run_disjoint():
         m_values = [args.m] if args.m is not None else list(range(2, m_max(24) + 1))
-        n_values = _parse_int_list(args.n) if args.n else list(range(1, args.n_max + 1))
+        n_values = _parse_int_list(args.n) if args.n is not None else list(range(1, args.n_max + 1))
         bad = sweeps.check_disjoint(m_values, n_values)
         # printed once the sweep has accepted its bounds: a refused one prints nothing
         print(f"disjoint vertex sets over m in {m_values[0]}..{m_values[-1]}, n in {n_values}")

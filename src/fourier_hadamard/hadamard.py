@@ -287,20 +287,18 @@ def screen_prime_powers(m: int, prims: PrimitiveSet) -> Screen:
     """Rule out row sets mod m whose primitive set holds every prime-power
     divisor of m yet misses some divisor of m.
 
-    In that case the size divisor equals m, forcing the row set to be all of
-    {0..m-1}, whose primitive set has every divisor; the gap is a
-    contradiction.  Elements that do not divide m raise ValueError.  {1},
-    the primitive set of a singleton, is inconclusive at every m (it holds
-    no prime power, and at m = 1 misses no divisor), so m is not factorized.
+    Then the size divisor is m, forcing the row set to be all of {0..m-1},
+    whose primitive set has every divisor: a contradiction.  Elements that
+    do not divide m raise ValueError.  With every element dividing m, prims
+    holds every prime power of m iff its size divisor is m, and misses a
+    divisor iff it has fewer than d(m) = prod(e + 1) elements; no divisor is
+    listed.  m is factorized only when the size divisor is m, so {1}, whose
+    size divisor is 1, never factorizes it.
     """
     if any(m % s for s in prims):
         raise ValueError(f"{prims} has elements not dividing m={m}")
-    if len(prims) == 1:
-        return Screen.INCONCLUSIVE
-    ctx = modulus_context(m)
-    prime_powers = [p**t for p, e in ctx.factorization for t in range(1, e + 1)]
-    if all(q in prims for q in prime_powers) and any(
-        d not in prims for d in ctx.divisors
+    if size_divisor(prims) == m and len(prims) < prod(
+        e + 1 for _, e in modulus_context(m).factorization
     ):
         return Screen.RULED_OUT
     return Screen.INCONCLUSIVE

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from math import prod
 
 import pytest
 
@@ -50,6 +51,24 @@ def test_primset_of_a_singleton_never_factorizes(capsys, monkeypatch):
     code, out, _ = run(["primset", "-m", str(m), "0"], capsys)
     assert code == 0
     assert "P(X) = {1}" in out and "prime power screen: inconclusive" in out
+
+
+def test_primset_never_lists_the_divisors(capsys, monkeypatch):
+    # the product of the first 30 primes has 2^30 divisors; both screens
+    # read C(P), and the prime-power screen counts divisors from exponents
+    def refuse(ctx):
+        raise AssertionError(f"divisors of {ctx.m} listed")
+
+    monkeypatch.setattr(numtheory.ModulusContext, "divisors", property(refuse))
+    modulus_context.cache_clear()
+    primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+    m = prod(primes)
+    elements = ",".join(map(str, [0] + [m // p for p in primes]))
+    code, out, _ = run(["primset", "-m", str(m), elements, "--json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["primitive_set"]) == 466 and doc["size_divisor"] == m
+    assert doc["size_screen"] == doc["prime_power_screen"] == "ruled-out"
 
 
 def test_primset_factorizes_the_modulus_once(capsys, factorize_calls):
@@ -299,6 +318,7 @@ def test_verify_bounds_selecting_no_case_exit_2(capsys, argv):
         ["-m", "12", "--n", "2,2"],
         ["--m-max", "1"],
         ["--n", "2,x"],
+        ["--n", ""],
     ],
 )
 def test_refused_disjoint_sweep_prints_nothing(capsys, argv):

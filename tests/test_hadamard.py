@@ -256,6 +256,12 @@ def test_exact_oracle_never_lists_the_divisors(monkeypatch):
     )
     half = m // 2
     assert is_hadamard_exact(spec(m, (0, half), (0, 1))).decision is Decision.HADAMARD
+    # P of {0} and every m/p holds each prime and each pq, 466 of 2^30
+    # divisors, so the prime-power screen rules it out from C(P) = m alone
+    j = (0, *(m // p for p, _ in factorize(m)))
+    assert len(prim(m, j)) == 466
+    assert screen_prime_powers(m, prim(m, j)) is Screen.RULED_OUT
+    assert screen_prime_powers(m, prim(m, (0, 1, 2, 3))) is Screen.INCONCLUSIVE
     # the tiling certificate walks P(J)'s orders the same way
     j, k = ResidueSet(6, (0, 3)), ResidueSet(6, (0, 1))
     assert certify_by_complement(j, k, (0, 2, 4)) is Decision.HADAMARD
@@ -344,6 +350,25 @@ def test_screen_prime_powers():
     assert screen_prime_powers(10, prim(10, (0, 1, 7, 8, 9))) is Screen.INCONCLUSIVE
     with pytest.raises(ValueError, match="has elements not dividing m=10"):
         screen_prime_powers(10, PrimitiveSet((1, 4)))
+
+
+def test_screen_prime_powers_matches_sympy():
+    # the screen's definition, on divisors and prime powers from sympy, for
+    # every set of divisors of m that contains 1, m <= 120
+    sympy = pytest.importorskip("sympy")
+    ruled_out = total = 0
+    for m in range(1, 121):
+        divs = sympy.divisors(m)
+        prime_powers = {p**a for p, e in sympy.factorint(m).items() for a in range(1, e + 1)}
+        rest = divs[1:]
+        for mask in range(1 << len(rest)):
+            members = [1, *(d for i, d in enumerate(rest) if mask >> i & 1)]
+            expected = prime_powers <= set(members) and len(members) < len(divs)
+            got = screen_prime_powers(m, PrimitiveSet(members)) is Screen.RULED_OUT
+            assert got == expected, (m, members)
+            ruled_out += got
+            total += 1
+    assert (total, ruled_out) == (50_069, 1_899)
 
 
 def test_screens_never_contradict_oracle():
