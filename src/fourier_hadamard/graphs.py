@@ -84,6 +84,8 @@ def build_graph(m: int, n: int) -> CompatGraph:
     More than MAX_SUBSETS subsets or witness differences raise ValueError
     up front.
     """
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {m}")
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
     if n > m:

@@ -166,9 +166,10 @@ def _root_sum_vanishes(terms: dict[int, int], primes: tuple[int, ...]) -> bool:
     sum over alpha of zeta_p^alpha * S_alpha with every S_alpha in
     Q(zeta_q), and because 1 + x + ... + x^(p-1) stays irreducible over
     Q(zeta_q) it vanishes iff all p of the S_alpha are equal (de Bruijn 1953;
-    Lam and Leung, J. Algebra 224, 2000).  An empty group makes that common
-    value 0, so then each group must vanish on its own; otherwise each group
-    must equal the smallest one.
+    Lam and Leung, J. Algebra 224, 2000), so each group minus the smallest
+    must vanish.  A class mod p with no term is an empty group, the smallest,
+    so then each group must vanish alone, and a lone term never does; the
+    singleton rule itself lives in ``ModulusContext.sum_mask``.
     """
     if not primes:
         return sum(terms.values()) == 0
@@ -178,9 +179,7 @@ def _root_sum_vanishes(terms: dict[int, int], primes: tuple[int, ...]) -> bool:
     for a, c in terms.items():
         group = groups.setdefault(a % p, {})
         group[a % q] = group.get(a % q, 0) + c
-    if len(groups) < p:
-        return all(_root_sum_vanishes(group, rest) for group in groups.values())
-    least = min(groups.values(), key=len)
+    least = min(groups.values(), key=len) if len(groups) == p else {}
     for group in groups.values():
         diff = dict(group)
         for b, c in least.items():
@@ -193,14 +192,12 @@ def _root_sum_vanishes(terms: dict[int, int], primes: tuple[int, ...]) -> bool:
 def prim_mask(ctx: ModulusContext, elements: tuple[int, ...]) -> int:
     """P(J) minus {1} as a mask over the divisor bits of m's context: the OR
     of ``ctx.bit[gcd(m, b - a)]`` over the pairs of J's distinct residues.
-    With fewer than two elements the mask is 0 and ``ctx.bit`` is never read,
-    so a singleton never factorizes m."""
-    if len(elements) < 2:
-        return 0
-    m, bit = ctx.m, ctx.bit
+    ``ctx.bit`` is read only for a pair, so a singleton, which has none,
+    never factorizes m."""
+    m = ctx.m
     mask = 0
     for a, b in combinations(elements, 2):
-        mask |= bit[gcd(m, b - a)]
+        mask |= ctx.bit[gcd(m, b - a)]
     return mask
 
 
@@ -210,21 +207,17 @@ def zero_mask(ctx: ModulusContext, elements: tuple[int, ...]) -> int:
     i.e. Phi_s divides K(z).  H_(J,K) is Hadamard iff
     ``prim_mask(J) & ~zero_mask(K)`` is 0.  Only the orders of
     ``ctx.sum_mask(|K|)`` are tested: at no other does a sum of |K| roots of
-    unity vanish (Lam and Leung), and a one-element K, one root that never
-    sums to 0, reads no divisor, so it never factorizes m."""
-    if len(elements) == 1:
-        return 0
-    candidates = ctx.sum_mask(len(elements))
+    unity vanish (Lam and Leung), and for |K| = 1 it reads no divisor."""
     mask = 0
-    for i, s in enumerate(ctx.orders):
-        if candidates >> i & 1 and _cyclotomic_divides(s, elements, ctx.primes_of(s)):
-            mask |= 1 << i
+    for s in ctx.orders_of(ctx.sum_mask(len(elements))):
+        if _cyclotomic_divides(s, elements, ctx.primes_of(s)):
+            mask |= ctx.bit[ctx.m // s]
     return mask
 
 
 def vanishing_set(k: ResidueSet) -> frozenset[int]:
     """Z(K) as a set of orders, read off ``zero_mask``; a one-element K
-    reads no divisor."""
+    reads no divisor, since ``ModulusContext.sum_mask(1)`` is 0."""
     ctx = modulus_context(k.modulus)
     return frozenset(ctx.orders_of(zero_mask(ctx, k.elements)))
 

@@ -145,8 +145,9 @@ class ModulusContext:
       exactly these g, so a set of such orders is one int, its mask, and
       the layout depends on m alone.
     - ``sum_mask(n)`` masks the orders s at which n is a sum of primes of
-      s, computed once per n: by Lam and Leung the only orders at which n
-      s-th roots of unity can add up to 0.
+      s, once per n: by Lam and Leung the only orders at which n s-th roots
+      of unity can add up to 0.  It alone holds that rule, n = 1 included:
+      one root never sums to 0, so a singleton never factorizes m.
 
     Memory is O(divisors of m), plus one mask per n asked.
     """
@@ -192,10 +193,13 @@ class ModulusContext:
         return primes
 
     def sum_mask(self, n: int) -> int:
-        """The mask of the orders s at which n is a sum of primes of s."""
+        """The mask of the orders s at which n is a sum of primes of s, asked
+        once per set of primes (at most 2^omega(m) sets); 1 is no sum of
+        primes, so ``sum_mask(1)`` is 0 and reads no divisor."""
         if n not in self._sum_masks:
-            primes = map(self.primes_of, self.orders)
-            self._sum_masks[n] = sum(1 << i for i, ps in enumerate(primes) if is_prime_sum(n, ps))
+            primes = [] if n == 1 else list(map(self.primes_of, self.orders))
+            sums = {ps: is_prime_sum(n, ps) for ps in set(primes)}
+            self._sum_masks[n] = sum(1 << i for i, ps in enumerate(primes) if sums[ps])
         return self._sum_masks[n]
 
 

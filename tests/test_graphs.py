@@ -68,6 +68,10 @@ def test_build_graph_validation():
         build_graph(4, 5)
     with pytest.raises(ValueError):
         build_graph(4, 0)
+    # the modulus is checked first, so a bad one is not blamed on the size
+    for m in (0, -5):
+        with pytest.raises(ValueError, match=rf"^modulus must be positive, got {m}$"):
+            build_graph(m, 1)
 
 
 def test_subset_guard_bounds():

@@ -9,6 +9,7 @@ import pytest
 from fourier_hadamard.hadamard import (
     MAX_COMPLEMENT_MODULUS,
     _cyclotomic_divides,
+    _root_sum_vanishes,
     Decision,
     Screen,
     SubmatrixSpec,
@@ -189,6 +190,44 @@ def test_sparse_vanishing_matches_dense_random(case):
     assert sparse(s, exponents) == expected
 
 
+@st.composite
+def signed_root_sums(draw):
+    """(r, {a: c}): signed integer weights c on exponents a <= 2r, r
+    squarefree with up to four primes.  In half the draws one to four full
+    orbits a + (r/p)*{0..p-1}, p | r, each summing to 0, are planted under
+    at most three random terms, so that the sum often vanishes."""
+    r = draw(st.sampled_from([6, 10, 15, 30, 42, 105, 210]))
+    weights = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    planted = draw(st.booleans())
+    size = draw(st.integers(0, 3 if planted else 20))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 2 * r), weights), min_size=size, max_size=size))
+    for _ in range(draw(st.integers(1, 4)) if planted else 0):
+        p = draw(st.sampled_from([p for p, _ in factorize(r)]))
+        a, c = draw(st.integers(0, 2 * r)), draw(weights)
+        pairs += [(a + i * (r // p), c) for i in range(p)]
+    terms: dict[int, int] = {}
+    for a, c in pairs:
+        terms[a] = terms.get(a, 0) + c
+    return r, {a: c for a, c in terms.items() if c}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(signed_root_sums())
+def test_root_sum_vanishes_matches_dense_signed(case):
+    # |K| <= 4 in the exhaustive comparison fills at most 4 classes mod p, so
+    # only here does p >= 5 see every class non-empty with signed weights
+    r, terms = case
+    primes = tuple(p for p, _ in factorize(r))
+    coeffs = [0] * (max(terms, default=0) + 1)
+    for a, c in terms.items():
+        coeffs[a] = c
+    expected = poly_divides(cyclotomic(r), IntPoly(coeffs))
+    event("vanishes" if expected else "does not vanish")
+    p = primes[-1]
+    event(f"p = {p}, every class filled: {len({a % p for a in terms}) == p}")
+    assert _root_sum_vanishes(terms, primes) == expected
+
+
 @pytest.mark.parametrize("m", [55_440, 720_720, 10**12])
 def test_exact_oracle_large_modulus(m):
     # K(z) = (z^m - 1)/(z^(m/4) - 1) vanishes at exactly the orders s | m that
@@ -231,6 +270,8 @@ def test_singletons_never_factorize(monkeypatch):
     monkeypatch.setattr(numtheory, "factorize", refuse)
     modulus_context.cache_clear()
     m = 2**89 - 1  # prime: trial division would never finish
+    # 1 is no sum of primes, so the context reads no divisor for it
+    assert modulus_context(m).sum_mask(1) == 0
     assert prim_mask(modulus_context(m), (5,)) == 0
     assert is_hadamard_exact(spec(m, (5,), (7,))) == SubmatrixVerdict(Decision.HADAMARD, "exact")
     # one root of unity never sums to 0, so Z of a singleton is read off

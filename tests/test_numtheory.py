@@ -1,8 +1,11 @@
 import random
 from functools import lru_cache
+from itertools import product
+from math import prod
 
 import pytest
 
+from fourier_hadamard import numtheory
 from fourier_hadamard.numtheory import (
     ModulusContext,
     _is_prime,
@@ -176,14 +179,43 @@ def _is_prime_sum(w, primes):
     return w == 0 or any(p <= w and _is_prime_sum(w - p, primes) for p in primes)
 
 
-def test_sum_mask_matches_recursive_prime_sums():
-    # bit i stands for the order m/g of the i-th divisor g < m of m
+def _expected_sum_masks(m, proper_divisors, sizes):
+    """sum_mask(n) for each n, by the recursion: bit i stands for the order
+    m/g of the i-th divisor g < m of m."""
+    primes = [tuple(p for p, _ in factorize(m // g)) for g in proper_divisors]
+    return {n: sum(1 << i for i, ps in enumerate(primes) if _is_prime_sum(n, ps)) for n in sizes}
+
+
+def test_sum_mask_matches_recursive_prime_sums(monkeypatch):
     for m in range(1, 1001):
-        primes = [tuple(p for p, _ in factorize(m // g)) for g in range(1, m) if m % g == 0]
         ctx = ModulusContext(m)
-        for n in range(1, 17):
-            expected = sum(1 << i for i, ps in enumerate(primes) if _is_prime_sum(n, ps))
-            assert ctx.sum_mask(n) == expected, (m, n)
+        expected = _expected_sum_masks(m, [g for g in range(1, m) if m % g == 0], range(1, 17))
+        for n, mask in expected.items():
+            assert ctx.sum_mask(n) == mask, (m, n)
+    # 2^6 3^4 5^2 7 11 13 17 19 23 has 6,720 divisors but 2^9 sets of
+    # primes, and whether n is a sum of primes depends on the set alone
+    exponents = {2: 6, 3: 4, 5: 2, 7: 1, 11: 1, 13: 1, 17: 1, 19: 1, 23: 1}
+    m = prod(p**e for p, e in exponents.items())
+    assert m == 963_761_198_400
+    divs = sorted(
+        prod(p**k for p, k in zip(exponents, ks))
+        for ks in product(*(range(e + 1) for e in exponents.values()))
+    )
+    assert len(divs) == 6_720
+    expected = _expected_sum_masks(m, divs[:-1], range(1, 9))
+    calls = 0
+
+    def counted(w, primes):
+        nonlocal calls
+        calls += 1
+        return is_prime_sum(w, primes)
+
+    monkeypatch.setattr(numtheory, "is_prime_sum", counted)
+    ctx = ModulusContext(m)
+    for n, mask in expected.items():
+        calls = 0
+        assert ctx.sum_mask(n) == mask, n
+        assert calls <= 2**9, (n, calls)
 
 
 def test_cyclotomic_value_at_one_agrees():
