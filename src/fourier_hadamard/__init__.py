@@ -30,6 +30,7 @@ _EXPORTS = {
         "scale",
         "shift",
         "size_divisor",
+        "VerificationError",
     ),
     "hadamard": (
         "Decision",
@@ -52,7 +53,6 @@ _EXPORTS = {
     "graphs": (
         "CompatGraph",
         "GraphFormatError",
-        "VerificationError",
         "build_graph",
         "classify_submatrix_size",
         "dominant_vertices",

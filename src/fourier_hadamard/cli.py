@@ -16,20 +16,16 @@ import argparse
 import sys
 from math import inf
 
-# the graph and sweep layers, and json, are imported by the subcommands
-# that use them, so `fhad test` and `fhad primset` never load them
-from .hadamard import (
-    Decision,
-    Screen,
-    SubmatrixSpec,
+# the hadamard, graph and sweep layers, and json, are imported by the
+# subcommands that use them, so `fhad test` and `fhad primset` never load
+# graphs or sweeps, and `fhad verify compprop` loads neither hadamard nor graphs
+from .primsets import (
+    ResidueSet,
     VerificationError,
-    is_hadamard,
-    is_hadamard_exact,
-    is_hadamard_numeric,
-    screen_prime_powers,
-    screen_size_divisor,
+    difference_set,
+    primitive_set,
+    size_divisor,
 )
-from .primsets import ResidueSet, difference_set, primitive_set, size_divisor
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -76,6 +72,8 @@ def _fmt_witness(witness: dict | None) -> str:
 
 
 def cmd_primset(args) -> int:
+    from .hadamard import Screen, screen_prime_powers, screen_size_divisor
+
     x = ResidueSet(args.m, _parse_elements(args.elements))
     diffs = sorted(difference_set(x))
     prims = primitive_set(x)
@@ -119,6 +117,14 @@ def cmd_primset(args) -> int:
 
 
 def cmd_test(args) -> int:
+    from .hadamard import (
+        Decision,
+        SubmatrixSpec,
+        is_hadamard,
+        is_hadamard_exact,
+        is_hadamard_numeric,
+    )
+
     # checked for every oracle, not only when the numeric one runs
     if not 0 < args.tol < inf:
         raise ValueError(f"tolerance must be positive and finite, got {args.tol}")

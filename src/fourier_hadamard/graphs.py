@@ -16,19 +16,25 @@ the other's Z.  The exact oracle then re-checks every edge.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from math import gcd
 from operator import or_
 
-from .hadamard import Decision, SubmatrixSpec, VerificationError, is_hadamard_exact, zero_mask
+from .hadamard import Decision, SubmatrixSpec, is_hadamard_exact, zero_mask
 from .numtheory import ModulusContext, modulus_context
-from .primsets import PrimitiveSet, Record, ResidueSet, primitive_set, size_divisor
+from .primsets import (
+    MAX_SUBSETS,
+    PrimitiveSet,
+    Record,
+    ResidueSet,
+    VerificationError,
+    primitive_set,
+    size_divisor,
+)
 
 __all__ = [
     "CompatGraph",
     "GraphFormatError",
-    "VerificationError",
     "build_graph",
     "has_edge",
     "dominant_vertices",
@@ -39,13 +45,6 @@ __all__ = [
 ]
 
 JSON_FORMAT = "compatgraph/1"
-
-# build_graph refuses more 0-containing subsets than this, or more
-# differences in one witness; the walk visits only subsets whose second
-# element divides m and whose prefixes pass the screens (G(60,7) has
-# 45,057,474 subsets and none to walk, G(60,6) builds in 0.4 s on a 2-core
-# machine), and G(m,2) and G(m,n) with 2n > m enumerate nothing
-MAX_SUBSETS = 10**8
 
 
 class GraphFormatError(ValueError):
@@ -312,6 +311,8 @@ def _key(v: PrimitiveSet) -> str:
 
 def export_json(graph: CompatGraph) -> str:
     """Canonical JSON serialization; round-trips through import_json."""
+    import json
+
     doc = {
         "format": JSON_FORMAT,
         "m": graph.m,
@@ -343,6 +344,8 @@ def import_json(text: str) -> CompatGraph:
     Schema problems and invariant violations raise GraphFormatError naming
     the offending location.
     """
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -33,7 +33,15 @@ from math import gcd, inf, prod
 from operator import mul
 
 from .numtheory import ModulusContext, is_prime_sum, modulus_context, p_adic_extremes
-from .primsets import PrimitiveSet, Record, ResidueSet, primitive_set, size_divisor
+# VerificationError is defined beside the records and re-exported here
+from .primsets import (
+    PrimitiveSet,
+    Record,
+    ResidueSet,
+    VerificationError,
+    primitive_set,
+    size_divisor,
+)
 
 __all__ = [
     "Decision",
@@ -73,10 +81,6 @@ class Screen(Enum):
 
     RULED_OUT = "ruled-out"
     INCONCLUSIVE = "inconclusive"
-
-
-class VerificationError(RuntimeError):
-    """An internal consistency check failed; indicates a defect, not bad input."""
 
 
 # Registry of implemented decision rules; every verdict names one of these.

@@ -12,7 +12,7 @@ exponents alone, in ``hadamard``.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "gcd",
@@ -20,6 +20,7 @@ __all__ = [
     "divisors",
     "p_adic_order",
     "p_adic_extremes",
+    "folded_extremes",
     "cyclotomic_at_one",
     "is_prime_sum",
     "ModulusContext",
@@ -64,8 +65,8 @@ def divisors(m: int) -> list[int]:
 
 
 # p_adic_extremes checks primality on every call, usually for the same few
-# primes; the bound stays above the 669 primes below 5000 that the compprop
-# sweep's sample moduli can have.
+# primes, those of the moduli that the closed forms are asked about; the
+# bound keeps the memo's size flat on any input.
 @lru_cache(maxsize=1024)
 def _is_prime(p: int) -> bool:
     return p >= 2 and factorize(p) == [(p, 1)]
@@ -83,23 +84,37 @@ def p_adic_extremes(p: int, xs) -> tuple[int, int]:
     """(min, max) of the p-adic order over a nonempty set of nonzero integers.
 
     Every call rejects a p that is not prime with ValueError; only the
-    factorization behind that check is memoized, once per p.
+    factorization behind that check is memoized, once per p.  The extremes
+    are read off one gcd and one lcm of xs (``folded_extremes``).
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    orders = []
-    for n in xs:
-        if n == 0:
-            raise ValueError("p-adic order of 0 is undefined")
-        n = abs(n)
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        orders.append(v)
-    if not orders:
+    xs = tuple(xs)
+    if 0 in xs:
+        raise ValueError("p-adic order of 0 is undefined")
+    if not xs:
         raise ValueError("p_adic_extremes needs a nonempty set")
-    return min(orders), max(orders)
+    return folded_extremes(p, gcd(*xs), lcm(*xs))
+
+
+def folded_extremes(p: int, g: int, l: int) -> tuple[int, int]:
+    """(min, max) of the p-adic order over nonzero integers whose gcd is g
+    and whose lcm is l, for a prime p that is not checked.
+
+    ord_p(gcd(a, b)) = min(ord_p(a), ord_p(b)) and ord_p(lcm(a, b)) =
+    max(ord_p(a), ord_p(b)), so the least order is the order of the gcd
+    and the greatest the order of the lcm.  One fold of a set with
+    ``math.gcd`` and one with ``math.lcm`` hold its extremes for every
+    prime at once.
+    """
+    lo = hi = 0
+    while g % p == 0:
+        g //= p
+        lo += 1
+    while l % p == 0:
+        l //= p
+        hi += 1
+    return lo, hi
 
 
 def cyclotomic_at_one(s: int) -> int:

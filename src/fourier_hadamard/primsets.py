@@ -21,7 +21,20 @@ __all__ = [
     "shift",
     "scale",
     "normalize",
+    "VerificationError",
 ]
+
+# build_graph refuses more 0-containing subsets than this, or more
+# differences in one witness, and the exhaustive sweeps more subsets to
+# check; the walk visits only subsets whose second element divides m and
+# whose prefixes pass the screens (G(60,7) has 45,057,474 subsets and none
+# to walk, G(60,6) builds in 0.4 s on a 2-core machine), and G(m,2) and
+# G(m,n) with 2n > m enumerate nothing
+MAX_SUBSETS = 10**8
+
+
+class VerificationError(RuntimeError):
+    """An internal consistency check failed; indicates a defect, not bad input."""
 
 
 class Record:

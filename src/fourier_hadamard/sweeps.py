@@ -14,7 +14,10 @@ per class, and the exact verdict only whether ``prim_mask(J) &
 so each class pair is decided once,
 by both sides, and stands for all of its subset pairs.  The vertex-set
 checks (disjointness across sizes, containment under scaling) live here
-and build each graph they compare once per call.
+and build each graph they compare once per call.  Each suite imports the
+layers it runs when it runs: ``graphs`` only for the vertex-set and
+counts suites, ``hadamard`` only for the oracle suites, and ``compprop``
+neither.
 """
 
 from __future__ import annotations
@@ -23,12 +26,10 @@ import random
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
 
-from .graphs import MAX_SUBSETS, build_graph
-from .hadamard import Decision, decide_2x2_general, decide_3x3, prim_mask, zero_mask
-from .numtheory import modulus_context, p_adic_extremes
-from .primsets import PrimitiveSet, ResidueSet
+from .numtheory import folded_extremes, modulus_context
+from .primsets import MAX_SUBSETS, PrimitiveSet
 
 __all__ = [
     "check_counts_power_of_two",
@@ -51,6 +52,8 @@ def check_counts_power_of_two(
     """
     if q_max < 1:
         raise ValueError(f"counts2q checks nothing for q_max = {q_max}")
+    from .graphs import build_graph
+
     rows = []
     for q in range(1, q_max + 1):
         graph = build_graph(2**q, 2)
@@ -73,6 +76,8 @@ def _oracle_equivalence(m_max: int, n: int, fast_test) -> dict | None:
     # C(m-1, n-1) 0-containing n-subsets for each m, C(m_max, n) in all
     if comb(m_max, n) > MAX_SUBSETS:
         raise ValueError(f"oracle{n} has more than {MAX_SUBSETS} subsets to check for m_max = {m_max}")
+    from .hadamard import Decision, prim_mask, zero_mask
+
     for m in range(n, m_max + 1):
         ctx = modulus_context(m)
         subsets = [(0, *t) for t in combinations(range(1, m), n - 1)]
@@ -117,6 +122,8 @@ def check_oracle_2x2(m_max: int) -> dict | None:
     (P(x), Z(x)) classes, and a mismatch reports the first subset pair
     J <= K, in enumeration order, that a pair-by-pair scan would meet.
     """
+    from .hadamard import decide_2x2_general
+
     return _oracle_equivalence(m_max, 2, decide_2x2_general)
 
 
@@ -129,12 +136,15 @@ def check_oracle_3x3(m_max: int) -> dict | None:
     (P(x), Z(x)) classes, and a mismatch reports the first subset pair
     J <= K, in enumeration order, that a pair-by-pair scan would meet.
     """
+    from .hadamard import decide_3x3
+
     return _oracle_equivalence(m_max, 3, decide_3x3)
 
 
-def compprop_violation(x: ResidueSet) -> dict | None:
+def compprop_violation(m: int, elements: tuple[int, ...]) -> dict | None:
     """Check the p-adic bounds tying differences to primitive sets, for every
-    prime dividing the modulus of x (|x| >= 2 required).
+    prime dividing m, on an ascending tuple of at least two distinct
+    residues mod m.
 
     With P the primitive set minus {1} and D the differences minus {0}:
       max ord_p(P) <= max(0, ord_p(m) - min ord_p(D))
@@ -142,26 +152,29 @@ def compprop_violation(x: ResidueSet) -> dict | None:
       min ord_p(D) >= ord_p(m) - max ord_p(P)
       and when min ord_p(P) >= 1:
       max ord_p(D) <= ord_p(m) - min ord_p(P)
+
+    D and P are each folded once with ``math.gcd`` and once with
+    ``math.lcm``, and every prime's extremes are read off the two folds
+    (``numtheory.folded_extremes``).
     """
-    m = x.modulus
     # D = -D, so its positive half has the same p-adic extremes
-    diffs = [b - a for a, b in combinations(x.elements, 2)]
-    prims = {m // gcd(m, d) for d in diffs}
+    diffs = [b - a for a, b in combinations(elements, 2)]
+    prims = [m // gcd(m, d) for d in diffs]
+    gd, ld, gp, lp = gcd(*diffs), lcm(*diffs), gcd(*prims), lcm(*prims)
     for p, e in modulus_context(m).factorization:
-        lo_p, hi_p = p_adic_extremes(p, prims)
-        lo_d, hi_d = p_adic_extremes(p, diffs)
-        checks = [
-            hi_p <= max(0, e - lo_d),
-            lo_p >= e - hi_d,
-            lo_d >= e - hi_p,
-        ]
-        if lo_p >= 1:
-            checks.append(hi_d <= e - lo_p)
-        if not all(checks):
+        lo_p, hi_p = folded_extremes(p, gp, lp)
+        lo_d, hi_d = folded_extremes(p, gd, ld)
+        # hi_p <= max(0, e - lo_d), without the call: hi_p is never negative
+        if not (
+            (not hi_p or hi_p <= e - lo_d)
+            and lo_p >= e - hi_d
+            and lo_d >= e - hi_p
+            and (lo_p < 1 or hi_d <= e - lo_p)
+        ):
             return {
                 "suite": "compprop",
                 "m": m,
-                "x": x.elements,
+                "x": elements,
                 "prime": p,
                 "prim_orders": (lo_p, hi_p),
                 "diff_orders": (lo_d, hi_d),
@@ -193,7 +206,7 @@ def check_compprop(m_max: int, samples: int) -> dict | None:
     for m in range(2, m_max + 1):
         for size in range(2, min(4, m) + 1):
             for tail in combinations(range(1, m), size - 1):
-                bad = compprop_violation(ResidueSet(m, (0,) + tail))
+                bad = compprop_violation(m, (0, *tail))
                 if bad:
                     return bad
     rng = random.Random(20260810)
@@ -201,8 +214,8 @@ def check_compprop(m_max: int, samples: int) -> dict | None:
         # a modulus of 1 has no 2-subset to draw
         m = rng.randint(max(m_max + 1, 2), 5000)
         size = rng.randint(2, min(8, m))
-        elems = tuple(rng.sample(range(m), size))
-        bad = compprop_violation(ResidueSet(m, elems))
+        elems = tuple(sorted(rng.sample(range(m), size)))
+        bad = compprop_violation(m, elems)
         if bad:
             return bad
     return None
@@ -214,6 +227,8 @@ def check_disjoint(m_values, n_values) -> dict | None:
     Sizes above m are skipped; a size repeated among the rest raises
     ValueError.  Each G(m,n) is built once, when its first pair comes up.
     """
+    from .graphs import build_graph
+
     graph = lru_cache(maxsize=None)(build_graph)
     compared = False
     for m in m_values:
@@ -237,6 +252,8 @@ def check_scaling(m_max: int, v_max: int, n_max: int) -> dict | None:
     """
     if m_max < 1 or v_max < 2 or n_max < 1:
         raise ValueError("scaling checks nothing unless m_max, n_max >= 1 and v_max >= 2")
+    from .graphs import build_graph
+
     graph = lru_cache(maxsize=None)(build_graph)
     for m in range(1, m_max + 1):
         for v in range(2, v_max + 1):

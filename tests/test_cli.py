@@ -184,7 +184,7 @@ def test_test_command_out_of_memory_exits_2(capsys, monkeypatch):
     def exhaust(spec):
         raise MemoryError
 
-    monkeypatch.setattr("fourier_hadamard.cli.is_hadamard_exact", exhaust)
+    monkeypatch.setattr("fourier_hadamard.hadamard.is_hadamard_exact", exhaust)
     argv = ["test", "-m", "12", "-J", "0,4,8", "-K", "0,1,2", "--oracle", "exact"]
     code, out, err = run(argv, capsys)
     assert code == 2
@@ -499,6 +499,7 @@ print(sorted(set(watched) & set(sys.modules) - before))
 
 LAYERS = ["fourier_hadamard.graphs", "fourier_hadamard.sweeps"]
 DATACLASSES = ["dataclasses", "inspect"]
+HADAMARD = ["fourier_hadamard.hadamard", "cmath"]
 
 
 def run_probe(probe, argv, env):
@@ -519,9 +520,16 @@ def run_probe(probe, argv, env):
          LAYERS + DATACLASSES),
         (["primset", "-m", "6000", "0,5,375"], LAYERS + DATACLASSES + ["json"]),
         (["primset", "-m", "6000", "0,5,375", "--json"], LAYERS + DATACLASSES),
-        (["graph", "-m", "12", "-n", "3"], DATACLASSES),
-        (["classify", "1,3", "--m", "12"], DATACLASSES),
-        (["verify", "counts2q"], DATACLASSES),
+        (["graph", "-m", "12", "-n", "3"], DATACLASSES + ["json"]),
+        (["classify", "1,3", "--m", "12"], DATACLASSES + ["json"]),
+        (["verify", "counts2q"], DATACLASSES + ["json"]),
+        # each verify suite loads only the layers it runs
+        (["verify", "compprop", "--samples", "20"],
+         DATACLASSES + HADAMARD + ["fourier_hadamard.graphs", "json"]),
+        (["verify", "oracle2", "--m-max", "8"], DATACLASSES + ["fourier_hadamard.graphs", "json"]),
+        (["verify", "oracle3", "--m-max", "8"], DATACLASSES + ["fourier_hadamard.graphs", "json"]),
+        (["verify", "disjoint"], DATACLASSES + ["json"]),
+        (["verify", "scaling"], DATACLASSES + ["json"]),
     ],
 )
 def test_subcommands_load_only_their_layers(argv, unloaded):

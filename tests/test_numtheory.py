@@ -1,9 +1,10 @@
 import random
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fourier_hadamard import numtheory
 from fourier_hadamard.numtheory import (
@@ -12,12 +13,14 @@ from fourier_hadamard.numtheory import (
     cyclotomic_at_one,
     divisors,
     factorize,
+    folded_extremes,
     gcd,
     is_prime_sum,
     p_adic_extremes,
     p_adic_order,
 )
 
+import sweep_reference
 from dense_reference import IntPoly, cyclotomic, poly_divides
 
 
@@ -109,6 +112,28 @@ def test_p_adic_extremes():
             p_adic_extremes(4, {2, 8})
         with pytest.raises(ValueError, match="not prime"):
             p_adic_extremes(1, {3})
+
+
+PRIMES_TO_50 = [p for p in range(2, 51) if all(p % q for q in range(2, p))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.sampled_from(PRIMES_TO_50),
+    st.lists(
+        st.integers(-(10**12), 10**12).filter(bool)
+        | st.builds(lambda p, k, u: p**k * u, st.sampled_from(PRIMES_TO_50),
+                    st.integers(0, 30), st.sampled_from((-3, -1, 1, 2, 5))),
+        min_size=1, max_size=12,
+    ),
+)
+def test_extremes_are_the_orders_of_the_gcd_and_the_lcm(p, xs):
+    # min ord_p is ord_p of the gcd and max ord_p that of the lcm, for
+    # nonzero integers of either sign
+    expected = sweep_reference.extremes(p, xs)
+    assert folded_extremes(p, gcd(*xs), lcm(*xs)) == expected
+    assert p_adic_extremes(p, xs) == expected
+    assert p_adic_extremes(p, iter(xs)) == expected
 
 
 def test_is_prime_matches_sympy():

@@ -267,7 +267,7 @@ def test_compprop_small_exhaustive():
             if size > m:
                 continue
             for elems in combinations(range(m), size):
-                assert compprop_violation(ResidueSet(m, elems)) is None
+                assert compprop_violation(m, elems) is None
 
 
 def assert_matches_reference(xs):

@@ -1,11 +1,12 @@
 import time
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sweep_reference as reference
-from fourier_hadamard import graphs, sweeps
+from fourier_hadamard import graphs, hadamard, numtheory, sweeps
 from fourier_hadamard.cli import main
 from fourier_hadamard.graphs import CompatGraph, build_graph, classify_submatrix_size
 from fourier_hadamard.hadamard import (
@@ -14,14 +15,15 @@ from fourier_hadamard.hadamard import (
     decide_2x2_general,
     decide_3x3,
 )
-from fourier_hadamard.numtheory import divisors
+from fourier_hadamard.numtheory import divisors, factorize
 from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, difference_set, primitive_set
 
 PLANTED = PrimitiveSet((1, 9999))
 
 
-def counting(monkeypatch, module, plant=()):
-    """Wrap ``module.build_graph`` so that it records every (m, n) it builds
+def counting(monkeypatch, plant=()):
+    """Wrap ``graphs.build_graph``, where the graph sweeps and ``classify``
+    look it up when they run, so that it records every (m, n) it builds
     and adds PLANTED to the vertex sets of the graphs listed in ``plant``."""
     calls = []
 
@@ -34,19 +36,19 @@ def counting(monkeypatch, module, plant=()):
             )
         return graph
 
-    monkeypatch.setattr(module, "build_graph", wrapped)
+    monkeypatch.setattr(graphs, "build_graph", wrapped)
     return calls
 
 
 def test_check_disjoint_builds_each_graph_once(monkeypatch):
-    calls = counting(monkeypatch, sweeps)
+    calls = counting(monkeypatch)
     assert sweeps.check_disjoint(range(2, 13), (1, 2, 3, 4)) is None
     assert len(calls) == len(set(calls))
     assert set(calls) == {(m, n) for m in range(2, 13) for n in range(1, min(4, m) + 1)}
 
 
 def test_check_scaling_skips_unit_scale(monkeypatch):
-    calls = counting(monkeypatch, sweeps)
+    calls = counting(monkeypatch)
     assert sweeps.check_scaling(6, 3, 3) is None
     # each graph once, in the order the comparisons first need it
     expected = []
@@ -58,20 +60,20 @@ def test_check_scaling_skips_unit_scale(monkeypatch):
 
 
 def test_check_disjoint_reports_shared_vertex(monkeypatch):
-    counting(monkeypatch, sweeps, plant={(12, 2), (12, 3)})
+    counting(monkeypatch, plant={(12, 2), (12, 3)})
     bad = sweeps.check_disjoint(range(2, 13), (1, 2, 3, 4))
     assert bad == {"suite": "disjoint", "m": 12, "n": 2, "n2": 3}
 
 
 def test_check_scaling_reports_missing_vertex(monkeypatch):
-    counting(monkeypatch, sweeps, plant={(9, 2)})
+    counting(monkeypatch, plant={(9, 2)})
     bad = sweeps.check_scaling(9, 3, 2)
     assert bad == {"suite": "scaling", "m": 9, "v": 2, "n": 2}
 
 
 def test_counts_2q_reports_wrong_count(monkeypatch, capsys):
     # a planted vertex in G(2^3,2) makes its count 4 where 3 is expected
-    counting(monkeypatch, sweeps, plant={(8, 2)})
+    counting(monkeypatch, plant={(8, 2)})
     rows, bad = sweeps.check_counts_power_of_two(5)
     assert rows == [(1, 1, 1), (2, 2, 1), (3, 4, 2)]
     assert bad == {"suite": "counts2q", "q": 3, "vertices": 4, "edges": 2, "expected": (3, 2)}
@@ -84,7 +86,7 @@ def test_counts_2q_reports_wrong_count(monkeypatch, capsys):
 
 
 def test_check_disjoint_rejects_repeated_size(monkeypatch, capsys):
-    calls = counting(monkeypatch, sweeps)
+    calls = counting(monkeypatch)
     with pytest.raises(ValueError, match="sizes must differ"):
         sweeps.check_disjoint([12], [2, 2])
     assert calls == []
@@ -99,7 +101,7 @@ def test_check_disjoint_rejects_repeated_size(monkeypatch, capsys):
 
 
 def test_classify_builds_only_admissible_sizes(monkeypatch):
-    calls = counting(monkeypatch, graphs)
+    calls = counting(monkeypatch)
     assert classify_submatrix_size(divisors(24), [24]) == 24
     assert calls == [(24, 24)]
 
@@ -119,9 +121,9 @@ def test_classify_matches_vertex_lookup():
 
 
 def flip_one_verdict(monkeypatch, name, m, j, k):
-    """Make ``sweeps.<name>`` return the opposite decision at modulus m for
+    """Make ``hadamard.<name>`` return the opposite decision at modulus m for
     the primitive sets of rows j and columns k."""
-    original = getattr(sweeps, name)
+    original = getattr(hadamard, name)
     key = (m, primitive_set(ResidueSet(m, j)), primitive_set(ResidueSet(m, k)))
 
     def planted(modulus, pj, pk):
@@ -135,7 +137,7 @@ def flip_one_verdict(monkeypatch, name, m, j, k):
             verdict = SubmatrixVerdict(flipped, verdict.rule, verdict.witness)
         return verdict
 
-    monkeypatch.setattr(sweeps, name, planted)
+    monkeypatch.setattr(hadamard, name, planted)
 
 
 def test_oracle_3x3_reports_planted_fault(monkeypatch, capsys):
@@ -208,7 +210,7 @@ def test_oracle_sweeps_report_the_reference_counterexample(fault):
     with pytest.MonkeyPatch.context() as mp:
         for j, k in keys.values():
             flip_one_verdict(mp, FAST_TEST[n], m, j, k)
-        planted = getattr(sweeps, FAST_TEST[n])
+        planted = getattr(hadamard, FAST_TEST[n])
         check = sweeps.check_oracle_2x2 if n == 2 else sweeps.check_oracle_3x3
         found = check(m)
         assert found == reference.oracle_equivalence(m, n, planted)
@@ -216,8 +218,73 @@ def test_oracle_sweeps_report_the_reference_counterexample(fault):
 
 
 def test_compprop_sweep_matches_all_subsets_reference():
-    assert sweeps.check_compprop(20, 200) is None
-    assert reference.compprop(20, 200) is None
+    # m_max 0 and 1 leave only the samples, drawn from moduli 2..5000
+    for m_max in (0, 1, 20):
+        assert sweeps.check_compprop(m_max, 200) is None
+        assert reference.compprop(m_max, 200) is None
+
+
+def raise_one_exponent(monkeypatch):
+    """Make every modulus context report m's factorization with one
+    exponent, the one at index m mod omega(m), raised by 1, so that the
+    compprop bounds fail for many subsets.  A property on the class wins
+    over the value that ``cached_property`` keeps per context."""
+
+    @lru_cache(maxsize=None)
+    def factorization(ctx):
+        pairs = factorize(ctx.m)
+        i = ctx.m % len(pairs)
+        return tuple((p, e + (j == i)) for j, (p, e) in enumerate(pairs))
+
+    monkeypatch.setattr(numtheory.ModulusContext, "factorization", property(factorization))
+
+
+def compare_compprop(cases) -> int:
+    """Compare the folded check with the per-element reference on each
+    (m, x); returns how many cases violate a bound."""
+    found = 0
+    for m, x in cases:
+        bad = sweeps.compprop_violation(m, x)
+        assert bad == reference.compprop_violation(m, x), (m, x)
+        found += bad is not None
+    return found
+
+
+@pytest.mark.parametrize("patched", [False, True])
+def test_compprop_violation_matches_per_element_reference_exhaustive(monkeypatch, patched):
+    # an ascending x has the integer differences of x - x[0], which holds 0,
+    # and both sides read x only through them and echo it, so the
+    # 0-containing subsets make every distinct check of sizes 2..4, m <= 40
+    if patched:
+        raise_one_exponent(monkeypatch)
+    found = compare_compprop(
+        (m, (0, *tail))
+        for m in range(2, 41)
+        for size in range(2, min(4, m) + 1)
+        for tail in combinations(range(1, m), size - 1)
+    )
+    # the true factorization violates no bound; the raised one makes the
+    # two sides agree on real violation dicts, not only on None
+    assert (found > 0) is patched
+
+
+@st.composite
+def compprop_inputs(draw):
+    """A modulus m <= 5000 and an ascending subset of [0, m) of 2 to 8
+    residues."""
+    m = draw(st.integers(2, 5000))
+    size = draw(st.integers(2, min(8, m)))
+    x = draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size, unique=True))
+    return m, tuple(sorted(x))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(compprop_inputs())
+def test_compprop_violation_matches_per_element_reference(case):
+    assert compare_compprop([case]) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        raise_one_exponent(mp)
+        compare_compprop([case])
 
 
 @pytest.mark.parametrize("m_max", [5000, 10**9])
@@ -268,10 +335,10 @@ def test_compprop_sweep_reports_the_reference_violation(fault):
     key = difference_set(ResidueSet(m, x))
     original = sweeps.compprop_violation
 
-    def planted(y):
-        if y.modulus == m and difference_set(y) == key:
-            return {"suite": "compprop", "m": m, "x": y.elements}
-        return original(y)
+    def planted(modulus, elements):
+        if modulus == m and difference_set(ResidueSet(modulus, elements)) == key:
+            return {"suite": "compprop", "m": m, "x": elements}
+        return original(modulus, elements)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweeps, "compprop_violation", planted)
