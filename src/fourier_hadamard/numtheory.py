@@ -64,10 +64,6 @@ def divisors(m: int) -> list[int]:
     return list(modulus_context(m).divisors)
 
 
-# p_adic_extremes checks primality on every call, usually for the same few
-# primes, those of the moduli that the closed forms are asked about; the
-# bound keeps the memo's size flat on any input.
-@lru_cache(maxsize=1024)
 def _is_prime(p: int) -> bool:
     return p >= 2 and factorize(p) == [(p, 1)]
 
@@ -83,8 +79,7 @@ def p_adic_order(p: int, n: int) -> int:
 def p_adic_extremes(p: int, xs) -> tuple[int, int]:
     """(min, max) of the p-adic order over a nonempty set of nonzero integers.
 
-    Every call rejects a p that is not prime with ValueError; only the
-    factorization behind that check is memoized, once per p.  The extremes
+    Every call rejects a p that is not prime with ValueError.  The extremes
     are read off one gcd and one lcm of xs (``folded_extremes``).
     """
     if not _is_prime(p):
@@ -99,14 +94,17 @@ def p_adic_extremes(p: int, xs) -> tuple[int, int]:
 
 def folded_extremes(p: int, g: int, l: int) -> tuple[int, int]:
     """(min, max) of the p-adic order over nonzero integers whose gcd is g
-    and whose lcm is l, for a prime p that is not checked.
+    and whose lcm is l, for a prime p.
 
     ord_p(gcd(a, b)) = min(ord_p(a), ord_p(b)) and ord_p(lcm(a, b)) =
     max(ord_p(a), ord_p(b)), so the least order is the order of the gcd
     and the greatest the order of the lcm.  One fold of a set with
     ``math.gcd`` and one with ``math.lcm`` hold its extremes for every
-    prime at once.
+    prime at once.  p < 2 and a zero g or l, which have no finite order,
+    raise ValueError; whether p >= 2 is prime is not checked.
     """
+    if p < 2 or not g or not l:
+        raise ValueError(f"no finite {p}-adic order for gcd {g} and lcm {l}")
     lo = hi = 0
     while g % p == 0:
         g //= p

@@ -155,18 +155,20 @@ def compprop_violation(m: int, elements: tuple[int, ...]) -> dict | None:
 
     D and P are each folded once with ``math.gcd`` and once with
     ``math.lcm``, and every prime's extremes are read off the two folds
-    (``numtheory.folded_extremes``).
+    (``numtheory.folded_extremes``).  Fewer than two elements, or a
+    repeated one, leave a zero fold and raise ValueError.
     """
     # D = -D, so its positive half has the same p-adic extremes
     diffs = [b - a for a, b in combinations(elements, 2)]
     prims = [m // gcd(m, d) for d in diffs]
     gd, ld, gp, lp = gcd(*diffs), lcm(*diffs), gcd(*prims), lcm(*prims)
+    if not gd or not ld:
+        raise ValueError(f"compprop needs at least two distinct residues, got {elements}")
     for p, e in modulus_context(m).factorization:
         lo_p, hi_p = folded_extremes(p, gp, lp)
         lo_d, hi_d = folded_extremes(p, gd, ld)
-        # hi_p <= max(0, e - lo_d), without the call: hi_p is never negative
         if not (
-            (not hi_p or hi_p <= e - lo_d)
+            hi_p <= max(0, e - lo_d)
             and lo_p >= e - hi_d
             and lo_d >= e - hi_p
             and (lo_p < 1 or hi_d <= e - lo_p)

@@ -103,8 +103,7 @@ def test_p_adic_extremes():
         p_adic_extremes(3, set())
     with pytest.raises(ValueError):
         p_adic_extremes(3, {0, 9})
-    # primality is memoized per p: a warm memo still rejects every non-prime,
-    # on every call
+    # every call rejects a non-prime, also after calls with primes
     p_adic_extremes(2, {6})
     p_adic_extremes(3, {6})
     for _ in range(2):
@@ -134,6 +133,13 @@ def test_extremes_are_the_orders_of_the_gcd_and_the_lcm(p, xs):
     assert folded_extremes(p, gcd(*xs), lcm(*xs)) == expected
     assert p_adic_extremes(p, xs) == expected
     assert p_adic_extremes(p, iter(xs)) == expected
+
+
+@pytest.mark.parametrize("p, g, l", [(2, 0, 4), (2, 4, 0), (1, 4, 4), (0, 4, 4), (-1, 4, 4)])
+def test_folded_extremes_refuses_what_has_no_finite_order(p, g, l):
+    # each of these would divide out p forever (or by zero)
+    with pytest.raises(ValueError, match="no finite"):
+        folded_extremes(p, g, l)
 
 
 def test_is_prime_matches_sympy():

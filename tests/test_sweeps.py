@@ -287,6 +287,14 @@ def test_compprop_violation_matches_per_element_reference(case):
         compare_compprop([case])
 
 
+@pytest.mark.parametrize("elements", [(0, 0, 3), (2, 2), (3,), ()])
+def test_compprop_violation_refuses_a_repeated_or_missing_residue(elements):
+    # a repeated residue makes a difference 0 and leaves fewer than two
+    # residues nothing to difference; neither has a finite p-adic order
+    with pytest.raises(ValueError, match="two distinct residues"):
+        sweeps.compprop_violation(6, elements)
+
+
 @pytest.mark.parametrize("m_max", [5000, 10**9])
 def test_compprop_refuses_an_empty_sample_range_before_any_work(m_max):
     # samples are drawn from moduli m_max + 1..5000; with none to draw, the
