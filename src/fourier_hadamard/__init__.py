@@ -37,14 +37,16 @@ _EXPORTS = {
         "Screen",
         "SubmatrixSpec",
         "SubmatrixVerdict",
-        "certify_by_complement",
-        "find_complement",
         "is_hadamard",
         "is_hadamard_exact",
-        "is_hadamard_numeric",
         "screen_prime_powers",
         "screen_size_divisor",
         "vanishing_set",
+    ),
+    "crosschecks": (
+        "certify_by_complement",
+        "find_complement",
+        "is_hadamard_numeric",
         "decide_2x2_general",
         "decide_2x2_power_of_two",
         "decide_2x2_twice_prime",

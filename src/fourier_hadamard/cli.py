@@ -16,9 +16,11 @@ import argparse
 import sys
 from math import inf
 
-# the hadamard, graph and sweep layers, and json, are imported by the
-# subcommands that use them, so `fhad test` and `fhad primset` never load
-# graphs or sweeps, and `fhad verify compprop` loads neither hadamard nor graphs
+# the hadamard, crosscheck, graph and sweep layers, and json, are imported
+# by the subcommands that use them, so `fhad test` and `fhad primset` never
+# load graphs or sweeps, `fhad verify compprop` loads neither hadamard nor
+# graphs, and only a 2x2 or 3x3 `fhad test`, `--oracle numeric|both` and
+# `fhad verify oracle2|oracle3` load crosschecks
 from .primsets import (
     ResidueSet,
     VerificationError,
@@ -117,13 +119,7 @@ def cmd_primset(args) -> int:
 
 
 def cmd_test(args) -> int:
-    from .hadamard import (
-        Decision,
-        SubmatrixSpec,
-        is_hadamard,
-        is_hadamard_exact,
-        is_hadamard_numeric,
-    )
+    from .hadamard import Decision, SubmatrixSpec, is_hadamard, is_hadamard_exact
 
     # checked for every oracle, not only when the numeric one runs
     if not 0 < args.tol < inf:
@@ -134,8 +130,12 @@ def cmd_test(args) -> int:
     if args.oracle == "exact":
         verdict = is_hadamard_exact(spec)
     elif args.oracle == "numeric":
+        from .crosschecks import is_hadamard_numeric
+
         verdict = is_hadamard_numeric(spec, tol=args.tol)
     elif args.oracle == "both":
+        from .crosschecks import is_hadamard_numeric
+
         exact = is_hadamard_exact(spec)
         numeric = is_hadamard_numeric(spec, tol=args.tol)
         if exact.decision is not numeric.decision:

@@ -16,8 +16,8 @@ by both sides, and stands for all of its subset pairs.  The vertex-set
 checks (disjointness across sizes, containment under scaling) live here
 and build each graph they compare once per call.  Each suite imports the
 layers it runs when it runs: ``graphs`` only for the vertex-set and
-counts suites, ``hadamard`` only for the oracle suites, and ``compprop``
-neither.
+counts suites, ``hadamard`` for the exact side and ``crosschecks`` for the
+closed forms only in the oracle suites, and ``compprop`` none of them.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def check_oracle_2x2(m_max: int) -> dict | None:
     (P(x), Z(x)) classes, and a mismatch reports the first subset pair
     J <= K, in enumeration order, that a pair-by-pair scan would meet.
     """
-    from .hadamard import decide_2x2_general
+    from .crosschecks import decide_2x2_general
 
     return _oracle_equivalence(m_max, 2, decide_2x2_general)
 
@@ -136,7 +136,7 @@ def check_oracle_3x3(m_max: int) -> dict | None:
     (P(x), Z(x)) classes, and a mismatch reports the first subset pair
     J <= K, in enumeration order, that a pair-by-pair scan would meet.
     """
-    from .hadamard import decide_3x3
+    from .crosschecks import decide_3x3
 
     return _oracle_equivalence(m_max, 3, decide_3x3)
 

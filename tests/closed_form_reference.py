@@ -1,6 +1,6 @@
 """Per-call reference for the memoized 2x2 and 3x3 closed forms.
 
-``fourier_hadamard.hadamard._balance_verdict`` reads each primitive set's
+``fourier_hadamard.crosschecks._balance_verdict`` reads each primitive set's
 p-adic orders from a memo keyed by (m, p, set).  This module keeps the way
 without a memo as the independent reference the tests compare it with:
 every call validates both sets, factorizes m and takes the p-adic orders of

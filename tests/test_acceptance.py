@@ -11,13 +11,13 @@ import time
 from itertools import combinations
 from math import gcd
 
+from fourier_hadamard.crosschecks import is_hadamard_numeric
 from fourier_hadamard.graphs import build_graph, dominant_vertices, has_edge
 from fourier_hadamard.hadamard import (
     Decision,
     Screen,
     SubmatrixSpec,
     is_hadamard_exact,
-    is_hadamard_numeric,
     screen_size_divisor,
 )
 from fourier_hadamard.primsets import (

@@ -467,9 +467,8 @@ def test_package_loads_only_the_standard_library():
         import sys
         before = set(sys.modules)
         from fourier_hadamard import cli
-        from fourier_hadamard.hadamard import (
-            SubmatrixSpec, is_hadamard, is_hadamard_exact, is_hadamard_numeric,
-        )
+        from fourier_hadamard.crosschecks import is_hadamard_numeric
+        from fourier_hadamard.hadamard import SubmatrixSpec, is_hadamard, is_hadamard_exact
         spec = SubmatrixSpec.of(10, (0, 1, 7, 8, 9), (0, 2, 4, 6, 8))
         for oracle in (is_hadamard, is_hadamard_exact, is_hadamard_numeric):
             assert oracle(spec).decision.value == "hadamard"
@@ -499,7 +498,7 @@ print(sorted(set(watched) & set(sys.modules) - before))
 
 LAYERS = ["fourier_hadamard.graphs", "fourier_hadamard.sweeps"]
 DATACLASSES = ["dataclasses", "inspect"]
-HADAMARD = ["fourier_hadamard.hadamard", "cmath"]
+CROSSCHECKS = ["fourier_hadamard.crosschecks", "cmath"]
 
 
 def run_probe(probe, argv, env):
@@ -515,26 +514,43 @@ def run_probe(probe, argv, env):
     "argv, unloaded",
     [
         (["test", "-m", "5040", "-J", "0,1,2,3,4,5",
-          "-K", "0,840,1680,2520,3360,4200"], LAYERS + DATACLASSES),
+          "-K", "0,840,1680,2520,3360,4200"], LAYERS + DATACLASSES + CROSSCHECKS),
         (["test", "-m", "12", "-J", "0,4,8", "-K", "0,1,2", "--format", "json"],
          LAYERS + DATACLASSES),
-        (["primset", "-m", "6000", "0,5,375"], LAYERS + DATACLASSES + ["json"]),
-        (["primset", "-m", "6000", "0,5,375", "--json"], LAYERS + DATACLASSES),
-        (["graph", "-m", "12", "-n", "3"], DATACLASSES + ["json"]),
-        (["classify", "1,3", "--m", "12"], DATACLASSES + ["json"]),
-        (["verify", "counts2q"], DATACLASSES + ["json"]),
+        (["primset", "-m", "6000", "0,5,375"], LAYERS + DATACLASSES + CROSSCHECKS + ["json"]),
+        (["primset", "-m", "6000", "0,5,375", "--json"], LAYERS + DATACLASSES + CROSSCHECKS),
+        (["graph", "-m", "12", "-n", "3"], DATACLASSES + CROSSCHECKS + ["json"]),
+        (["classify", "1,3", "--m", "12"], DATACLASSES + CROSSCHECKS + ["json"]),
+        (["verify", "counts2q"], DATACLASSES + CROSSCHECKS + ["json"]),
         # each verify suite loads only the layers it runs
         (["verify", "compprop", "--samples", "20"],
-         DATACLASSES + HADAMARD + ["fourier_hadamard.graphs", "json"]),
+         DATACLASSES + CROSSCHECKS + ["fourier_hadamard.hadamard", "fourier_hadamard.graphs", "json"]),
         (["verify", "oracle2", "--m-max", "8"], DATACLASSES + ["fourier_hadamard.graphs", "json"]),
         (["verify", "oracle3", "--m-max", "8"], DATACLASSES + ["fourier_hadamard.graphs", "json"]),
-        (["verify", "disjoint"], DATACLASSES + ["json"]),
-        (["verify", "scaling"], DATACLASSES + ["json"]),
+        (["verify", "disjoint"], DATACLASSES + CROSSCHECKS + ["json"]),
+        (["verify", "scaling"], DATACLASSES + CROSSCHECKS + ["json"]),
+        # the exact core decides every size but 2 and 3 without the cross-checks
+        (["test", "-m", "12", "-J", "0,3,6,9", "-K", "0,1,2,3", "--format", "json"],
+         LAYERS + DATACLASSES + CROSSCHECKS),
     ],
 )
 def test_subcommands_load_only_their_layers(argv, unloaded):
     out = run_probe(FOOTPRINT_PROBE, argv, {"WATCHED": " ".join(unloaded)})
     assert out.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a 3x3 selection is decided, and explained, by its closed form
+        ["test", "-m", "12", "-J", "0,4,8", "-K", "0,1,2"],
+        ["verify", "oracle2", "--m-max", "8"],
+        ["verify", "oracle3", "--m-max", "8"],
+    ],
+)
+def test_closed_form_subcommands_load_the_crosschecks(argv):
+    out = run_probe(FOOTPRINT_PROBE, argv, {"WATCHED": " ".join(CROSSCHECKS)})
+    assert out.splitlines()[-1] == str(sorted(CROSSCHECKS))
 
 
 def test_package_resolves_its_names_on_first_use():
@@ -546,7 +562,7 @@ def test_package_resolves_its_names_on_first_use():
         for name in fourier_hadamard.__all__:
             homes = [
                 import_module(f"fourier_hadamard.{layer}")
-                for layer in ("numtheory", "primsets", "hadamard", "graphs")
+                for layer in ("numtheory", "primsets", "hadamard", "crosschecks", "graphs")
             ]
             (home,) = [h for h in homes if name in h.__all__]
             assert getattr(fourier_hadamard, name) is getattr(home, name), name

@@ -6,27 +6,29 @@ from math import gcd, prod
 
 import pytest
 
-from fourier_hadamard.hadamard import (
+from fourier_hadamard.crosschecks import (
     MAX_COMPLEMENT_MODULUS,
+    certify_by_complement,
+    find_complement,
+    is_hadamard_numeric,
+    decide_2x2_general,
+    decide_2x2_power_of_two,
+    decide_2x2_twice_prime,
+    decide_3x3,
+)
+from fourier_hadamard.hadamard import (
     _cyclotomic_divides,
     _root_sum_vanishes,
     Decision,
     Screen,
     SubmatrixSpec,
     SubmatrixVerdict,
-    certify_by_complement,
-    find_complement,
     is_hadamard,
     is_hadamard_exact,
-    is_hadamard_numeric,
     prim_mask,
     screen_prime_powers,
     screen_size_divisor,
     vanishing_set,
-    decide_2x2_general,
-    decide_2x2_power_of_two,
-    decide_2x2_twice_prime,
-    decide_3x3,
 )
 from fourier_hadamard import numtheory
 from fourier_hadamard.graphs import build_graph

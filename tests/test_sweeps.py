@@ -6,15 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sweep_reference as reference
-from fourier_hadamard import graphs, hadamard, numtheory, sweeps
+from fourier_hadamard import crosschecks, graphs, numtheory, sweeps
 from fourier_hadamard.cli import main
+from fourier_hadamard.crosschecks import decide_2x2_general, decide_3x3
 from fourier_hadamard.graphs import CompatGraph, build_graph, classify_submatrix_size
-from fourier_hadamard.hadamard import (
-    Decision,
-    SubmatrixVerdict,
-    decide_2x2_general,
-    decide_3x3,
-)
+from fourier_hadamard.hadamard import Decision, SubmatrixVerdict
 from fourier_hadamard.numtheory import divisors, factorize
 from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, difference_set, primitive_set
 
@@ -121,9 +117,9 @@ def test_classify_matches_vertex_lookup():
 
 
 def flip_one_verdict(monkeypatch, name, m, j, k):
-    """Make ``hadamard.<name>`` return the opposite decision at modulus m for
-    the primitive sets of rows j and columns k."""
-    original = getattr(hadamard, name)
+    """Make ``crosschecks.<name>`` return the opposite decision at modulus m
+    for the primitive sets of rows j and columns k."""
+    original = getattr(crosschecks, name)
     key = (m, primitive_set(ResidueSet(m, j)), primitive_set(ResidueSet(m, k)))
 
     def planted(modulus, pj, pk):
@@ -137,7 +133,7 @@ def flip_one_verdict(monkeypatch, name, m, j, k):
             verdict = SubmatrixVerdict(flipped, verdict.rule, verdict.witness)
         return verdict
 
-    monkeypatch.setattr(hadamard, name, planted)
+    monkeypatch.setattr(crosschecks, name, planted)
 
 
 def test_oracle_3x3_reports_planted_fault(monkeypatch, capsys):
@@ -210,7 +206,7 @@ def test_oracle_sweeps_report_the_reference_counterexample(fault):
     with pytest.MonkeyPatch.context() as mp:
         for j, k in keys.values():
             flip_one_verdict(mp, FAST_TEST[n], m, j, k)
-        planted = getattr(hadamard, FAST_TEST[n])
+        planted = getattr(crosschecks, FAST_TEST[n])
         check = sweeps.check_oracle_2x2 if n == 2 else sweeps.check_oracle_3x3
         found = check(m)
         assert found == reference.oracle_equivalence(m, n, planted)
