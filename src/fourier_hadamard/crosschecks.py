@@ -21,11 +21,11 @@ from __future__ import annotations
 import cmath
 from collections.abc import Iterator
 from functools import lru_cache
-from math import inf
+from math import gcd, inf, lcm
 from operator import mul
 
 from .hadamard import Decision, SubmatrixSpec, SubmatrixVerdict, _cyclotomic_divides
-from .numtheory import modulus_context, p_adic_extremes
+from .numtheory import folded_extremes, modulus_context
 from .primsets import PrimitiveSet, ResidueSet, primitive_set
 
 __all__ = [
@@ -219,8 +219,8 @@ def _adic_profile(
 ) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, int, int]]:
     """The p-adic profile of prims minus {1} that the p-by-p balance test
     reads: (r, ord_r(m), max ord_r) for each prime r != p of m, ascending,
-    and (ord_p(m), min ord_p, max ord_p).  m's factorization comes from its
-    context, so a miss for a new set does not factorize m again.
+    and (ord_p(m), min ord_p, max ord_p), read off one gcd/lcm fold of the
+    set at the primes of m's context, so a miss runs no trial division.
 
     Validates prims as the primitive set of a p-element selection mod m
     first.  lru_cache stores no exception, so invalid input raises on every
@@ -229,9 +229,10 @@ def _adic_profile(
     """
     _require_primitive_sets(m, p, prims)
     s = prims.without_one()
+    g, l = gcd(*s), lcm(*s)
     orders = dict(modulus_context(m).factorization)
-    others = tuple((r, e, p_adic_extremes(r, s)[1]) for r, e in orders.items() if r != p)
-    return others, (orders.get(p, 0), *p_adic_extremes(p, s))
+    others = tuple((r, e, folded_extremes(r, g, l)[1]) for r, e in orders.items() if r != p)
+    return others, (orders.get(p, 0), *folded_extremes(p, g, l))
 
 
 def _balance_verdict(

@@ -15,9 +15,9 @@ so each class pair is decided once,
 by both sides, and stands for all of its subset pairs.  The vertex-set
 checks (disjointness across sizes, containment under scaling) live here
 and build each graph they compare once per call.  Each suite imports the
-layers it runs when it runs: ``graphs`` only for the vertex-set and
-counts suites, ``hadamard`` for the exact side and ``crosschecks`` for the
-closed forms only in the oracle suites, and ``compprop`` none of them.
+layers it runs when it runs: ``graphs`` only for the vertex-set and counts
+suites, ``hadamard`` for the exact side and ``crosschecks`` for the closed
+forms only in the oracle suites; ``compprop`` none, nor m's factorization.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm
 
-from .numtheory import folded_extremes, modulus_context
+from .numtheory import modulus_context
 from .primsets import MAX_SUBSETS, PrimitiveSet
 
 __all__ = [
@@ -141,22 +141,35 @@ def check_oracle_3x3(m_max: int) -> dict | None:
     return _oracle_equivalence(m_max, 3, decide_3x3)
 
 
+def _fold_mismatch(m: int, gd: int, ld: int, gp: int, lp: int) -> dict | None:
+    """The first compprop identity the folds break (``compprop_violation``)."""
+    for fold, prim, diff in (("lcm", lp, gd), ("gcd", gp, ld)):
+        if prim != m // gcd(m, diff):
+            return {"fold": fold, "prims": prim, "from_diffs": m // gcd(m, diff)}
+    return None
+
+
 def compprop_violation(m: int, elements: tuple[int, ...]) -> dict | None:
     """Check the p-adic bounds tying differences to primitive sets, for every
     prime dividing m, on an ascending tuple of at least two distinct
     residues mod m.
 
-    With P the primitive set minus {1} and D the differences minus {0}:
-      max ord_p(P) <= max(0, ord_p(m) - min ord_p(D))
-      min ord_p(P) >= ord_p(m) - max ord_p(D)
-      min ord_p(D) >= ord_p(m) - max ord_p(P)
-      and when min ord_p(P) >= 1:
-      max ord_p(D) <= ord_p(m) - min ord_p(P)
-
-    D and P are each folded once with ``math.gcd`` and once with
-    ``math.lcm``, and every prime's extremes are read off the two folds
-    (``numtheory.folded_extremes``).  Fewer than two elements, or a
-    repeated one, leave a zero fold and raise ValueError.
+    With P the primitive set minus {1}, D the differences minus {0} and
+    p^e exactly dividing m, the bounds are
+      (1) max ord_p(P) <= max(0, e - min ord_p(D))
+      (2) min ord_p(P) >= e - max ord_p(D)
+      (3) min ord_p(D) >= e - max ord_p(P)
+      (4) and when min ord_p(P) >= 1: max ord_p(D) <= e - min ord_p(P).
+    No order is negative, so (1) and (3) say max ord_p(P) = max(0, e - min
+    ord_p(D)), and (2) and (4) say min ord_p(P) = max(0, e - max ord_p(D)):
+    (4) caps it at e - max ord_p(D) when positive, and (2) allows 0 only
+    when e <= max ord_p(D).  The gcd and lcm folds gd, ld of D and gp, lp
+    of P have these extremes as orders, lp and gp divide m, and
+    ord_p(m // gcd(m, g)) = max(0, e - ord_p(g)), so over all primes of m
+    the bounds hold exactly when lp == m // gcd(m, gd) (the "lcm" fold)
+    and gp == m // gcd(m, ld) (the "gcd" fold); m is never factorized.  A
+    violation names the first fold that fails, with both sides.  Fewer than
+    two elements, or a repeated one, leave a zero fold and raise ValueError.
     """
     # D = -D, so its positive half has the same p-adic extremes
     diffs = [b - a for a, b in combinations(elements, 2)]
@@ -164,24 +177,8 @@ def compprop_violation(m: int, elements: tuple[int, ...]) -> dict | None:
     gd, ld, gp, lp = gcd(*diffs), lcm(*diffs), gcd(*prims), lcm(*prims)
     if not gd or not ld:
         raise ValueError(f"compprop needs at least two distinct residues, got {elements}")
-    for p, e in modulus_context(m).factorization:
-        lo_p, hi_p = folded_extremes(p, gp, lp)
-        lo_d, hi_d = folded_extremes(p, gd, ld)
-        if not (
-            hi_p <= max(0, e - lo_d)
-            and lo_p >= e - hi_d
-            and lo_d >= e - hi_p
-            and (lo_p < 1 or hi_d <= e - lo_p)
-        ):
-            return {
-                "suite": "compprop",
-                "m": m,
-                "x": elements,
-                "prime": p,
-                "prim_orders": (lo_p, hi_p),
-                "diff_orders": (lo_d, hi_d),
-            }
-    return None
+    bad = _fold_mismatch(m, gd, ld, gp, lp)
+    return bad and {"suite": "compprop", "m": m, "x": elements, **bad}
 
 
 def check_compprop(m_max: int, samples: int) -> dict | None:
@@ -195,7 +192,8 @@ def check_compprop(m_max: int, samples: int) -> dict | None:
     violates a bound depends only on m and its integer differences, which
     every translate of x inside [0, m) shares, and the 0-containing subsets
     come first among the subsets of one (m, size), so the first
-    counterexample is the one that a sweep over all subsets finds.
+    counterexample is the one that a sweep over all subsets finds.  No
+    subset builds a modulus context.
     """
     if m_max < 2 and samples < 1:
         raise ValueError("compprop checks nothing unless m_max >= 2 or samples >= 1")

@@ -5,11 +5,12 @@ and checks compprop on the 0-containing subsets only.  This module keeps
 the plain scans as the independent references the tests compare them with:
 the oracle reference calls the closed form and takes the exact inclusion
 on every pair of 0-containing subsets J <= K, and the compprop reference
-checks every subset of every modulus up to m_max.  ``compprop_violation``
-keeps the per-element form of the compprop check, which
-``sweeps.compprop_violation`` reads off gcd and lcm folds instead; its
-per-element walk, ``extremes``, is also the reference for the folds in
-``numtheory``.
+checks every subset of every modulus up to m_max.  ``bounds_hold`` keeps
+the compprop check as four bounds per prime of m, which
+``sweeps.compprop_violation`` reduces to two identities on gcd and lcm
+folds: ``compprop_holds`` applies it element by element to a subset and
+``folds_hold`` to fold values.  The per-element walk, ``extremes``, is also
+the reference for the folds in ``numtheory``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from math import gcd
 
 from fourier_hadamard import sweeps
 from fourier_hadamard.hadamard import Decision, vanishing_set
-from fourier_hadamard.numtheory import modulus_context
 from fourier_hadamard.primsets import ResidueSet, primitive_set
 
 
@@ -86,29 +86,46 @@ def extremes(p: int, xs) -> tuple[int, int]:
     return min(orders), max(orders)
 
 
-def compprop_violation(m: int, elements: tuple[int, ...]) -> dict | None:
+def prime_powers(m: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime p with p^e exactly dividing m >= 1, by trial
+    division over every candidate up to m."""
+    out = []
+    for p in range(2, m + 1):
+        if m % p == 0 and all(p % q for q in range(2, p)):
+            out.append((p, extremes(p, (m,))[0]))
+    return out
+
+
+def bounds_hold(e: int, prim_orders: tuple[int, int], diff_orders: tuple[int, int]) -> bool:
+    """The four compprop bounds at one prime p with p^e exactly dividing m,
+    on the (min, max) p-adic orders of P minus {1} and of D minus {0}."""
+    lo_p, hi_p = prim_orders
+    lo_d, hi_d = diff_orders
+    checks = [
+        hi_p <= max(0, e - lo_d),
+        lo_p >= e - hi_d,
+        lo_d >= e - hi_p,
+    ]
+    if lo_p >= 1:
+        checks.append(hi_d <= e - lo_p)
+    return all(checks)
+
+
+def compprop_holds(m: int, elements: tuple[int, ...]) -> bool:
     """The compprop check element by element, with no gcd or lcm fold: the
     p-adic extremes of the set of differences and of the set of
     primitive-set orders, walked afresh for every prime of m."""
     diffs = {b - a for a, b in combinations(elements, 2)}
     prims = {m // gcd(m, d) for d in diffs}
-    for p, e in modulus_context(m).factorization:
-        lo_p, hi_p = extremes(p, prims)
-        lo_d, hi_d = extremes(p, diffs)
-        checks = [
-            hi_p <= max(0, e - lo_d),
-            lo_p >= e - hi_d,
-            lo_d >= e - hi_p,
-        ]
-        if lo_p >= 1:
-            checks.append(hi_d <= e - lo_p)
-        if not all(checks):
-            return {
-                "suite": "compprop",
-                "m": m,
-                "x": elements,
-                "prime": p,
-                "prim_orders": (lo_p, hi_p),
-                "diff_orders": (lo_d, hi_d),
-            }
-    return None
+    return all(
+        bounds_hold(e, extremes(p, prims), extremes(p, diffs)) for p, e in prime_powers(m)
+    )
+
+
+def folds_hold(m: int, gd: int, ld: int, gp: int, lp: int) -> bool:
+    """The four bounds, prime by prime, on fold values: gd | ld the gcd and
+    lcm of the differences, gp | lp | m those of the primitive set, whose
+    p-adic extremes are the orders of the two folds."""
+    return all(
+        bounds_hold(e, extremes(p, (gp, lp)), extremes(p, (gd, ld))) for p, e in prime_powers(m)
+    )

@@ -10,7 +10,7 @@ import pytest
 
 import fourier_hadamard
 import reference_builder
-from fourier_hadamard import numtheory
+from fourier_hadamard import crosschecks, numtheory
 from fourier_hadamard.cli import main
 from fourier_hadamard.graphs import export_json
 from fourier_hadamard.numtheory import modulus_context
@@ -77,6 +77,20 @@ def test_primset_factorizes_the_modulus_once(capsys, factorize_calls):
     code, out, _ = run(["primset", "-m", str(m), "0,1,2,3"], capsys)
     assert code == 0
     assert f"P(X) = {{1,{m}}}" in out and f"size divisor C = {m}" in out
+    assert factorize_calls == [m]
+
+
+def test_closed_form_factorizes_the_modulus_once(capsys, factorize_calls):
+    # the 2x2 closed form reads each prime's orders off one gcd/lcm fold per
+    # primitive set, so the large prime of m is never proved prime again
+    crosschecks._adic_profile.cache_clear()
+    m = 2 * (10**12 + 39)
+    code, out, _ = run(["test", "-m", str(m), "-J", "0,1", "-K", f"0,{m // 2}"], capsys)
+    assert (code, out) == (
+        0,
+        f"H_(J,K) of F_{m} with J = {{0,1}}, K = {{0,{m // 2}}}\n"
+        "decision: hadamard\nrule: gen2by2\n",
+    )
     assert factorize_calls == [m]
 
 

@@ -1,6 +1,6 @@
 import time
-from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +11,7 @@ from fourier_hadamard.cli import main
 from fourier_hadamard.crosschecks import decide_2x2_general, decide_3x3
 from fourier_hadamard.graphs import CompatGraph, build_graph, classify_submatrix_size
 from fourier_hadamard.hadamard import Decision, SubmatrixVerdict
-from fourier_hadamard.numtheory import divisors, factorize
+from fourier_hadamard.numtheory import divisors
 from fourier_hadamard.primsets import PrimitiveSet, ResidueSet, difference_set, primitive_set
 
 PLANTED = PrimitiveSet((1, 9999))
@@ -220,48 +220,77 @@ def test_compprop_sweep_matches_all_subsets_reference():
         assert reference.compprop(m_max, 200) is None
 
 
-def raise_one_exponent(monkeypatch):
-    """Make every modulus context report m's factorization with one
-    exponent, the one at index m mod omega(m), raised by 1, so that the
-    compprop bounds fail for many subsets.  A property on the class wins
-    over the value that ``cached_property`` keeps per context."""
-
-    @lru_cache(maxsize=None)
-    def factorization(ctx):
-        pairs = factorize(ctx.m)
-        i = ctx.m % len(pairs)
-        return tuple((p, e + (j == i)) for j, (p, e) in enumerate(pairs))
-
-    monkeypatch.setattr(numtheory.ModulusContext, "factorization", property(factorization))
+def fold_tuples(m_max: int):
+    """Every (m, gd, ld, gp, lp) with 2 <= m <= m_max, gp | lp | m and
+    gd | ld | m^2 * q, q the least prime not dividing m: the differences'
+    folds may carry orders past m's and a prime m lacks, as real ones do."""
+    for m in range(2, m_max + 1):
+        q = next(q for q in (2, 3, 5, 7) if m % q)
+        prim_folds = [(g, l) for l in divisors(m) for g in divisors(l)]
+        diff_folds = [(g, l) for l in divisors(m * m * q) for g in divisors(l)]
+        for gd, ld in diff_folds:
+            for gp, lp in prim_folds:
+                yield m, gd, ld, gp, lp
 
 
-def compare_compprop(cases) -> int:
+def test_compprop_identities_match_the_per_prime_bounds():
+    # the two identities against the four bounds, stated prime by prime in
+    # the reference, on every fold tuple for m <= 40, most of them violating
+    broken = {"lcm": 0, "gcd": 0}
+    for m, gd, ld, gp, lp in fold_tuples(40):
+        bad = sweeps._fold_mismatch(m, gd, ld, gp, lp)
+        assert (bad is None) == reference.folds_hold(m, gd, ld, gp, lp), (m, gd, ld, gp, lp)
+        lcm_ok = lp == m // gcd(m, gd)
+        gcd_ok = gp == m // gcd(m, ld)
+        if bad is not None:
+            # the first identity that fails names the fold, with both sides
+            fold, prim, diff = ("lcm", lp, gd) if not lcm_ok else ("gcd", gp, ld)
+            assert bad == {"fold": fold, "prims": prim, "from_diffs": m // gcd(m, diff)}
+        if lcm_ok != gcd_ok:
+            broken["gcd" if lcm_ok else "lcm"] += 1
+    # tuples that break one identity alone, each under its own name
+    assert broken["lcm"] > 1000 and broken["gcd"] > 1000
+
+
+def test_compprop_violation_names_a_planted_lcm_fold(monkeypatch):
+    # a prime that m lacks, planted in every lcm, leaves gcd(m, ld) and so
+    # the gcd fold as they were, and breaks the lcm fold alone
+    monkeypatch.setattr(sweeps, "lcm", lambda *xs: 7 * lcm(*xs))
+    assert sweeps.compprop_violation(12, (0, 3, 4)) == {
+        "suite": "compprop",
+        "m": 12,
+        "x": (0, 3, 4),
+        "fold": "lcm",
+        "prims": 7 * 12,
+        "from_diffs": 12,
+    }
+
+
+def test_compprop_never_builds_a_modulus_context():
+    # the identities read m itself, so no m is factorized or kept in the
+    # per-modulus memo, whose 1024 entries the samples would overrun
+    misses = numtheory.modulus_context.cache_info().misses
+    assert sweeps.check_compprop(20, 2000) is None
+    assert numtheory.modulus_context.cache_info().misses == misses
+
+
+def compare_compprop(cases) -> None:
     """Compare the folded check with the per-element reference on each
-    (m, x); returns how many cases violate a bound."""
-    found = 0
+    (m, x)."""
     for m, x in cases:
-        bad = sweeps.compprop_violation(m, x)
-        assert bad == reference.compprop_violation(m, x), (m, x)
-        found += bad is not None
-    return found
+        assert (sweeps.compprop_violation(m, x) is None) == reference.compprop_holds(m, x), (m, x)
 
 
-@pytest.mark.parametrize("patched", [False, True])
-def test_compprop_violation_matches_per_element_reference_exhaustive(monkeypatch, patched):
+def test_compprop_violation_matches_per_element_reference_exhaustive():
     # an ascending x has the integer differences of x - x[0], which holds 0,
-    # and both sides read x only through them and echo it, so the
-    # 0-containing subsets make every distinct check of sizes 2..4, m <= 40
-    if patched:
-        raise_one_exponent(monkeypatch)
-    found = compare_compprop(
+    # and both sides read x only through them, so the 0-containing subsets
+    # make every distinct check of sizes 2..4, m <= 40
+    compare_compprop(
         (m, (0, *tail))
         for m in range(2, 41)
         for size in range(2, min(4, m) + 1)
         for tail in combinations(range(1, m), size - 1)
     )
-    # the true factorization violates no bound; the raised one makes the
-    # two sides agree on real violation dicts, not only on None
-    assert (found > 0) is patched
 
 
 @st.composite
@@ -277,10 +306,7 @@ def compprop_inputs(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(compprop_inputs())
 def test_compprop_violation_matches_per_element_reference(case):
-    assert compare_compprop([case]) == 0
-    with pytest.MonkeyPatch.context() as mp:
-        raise_one_exponent(mp)
-        compare_compprop([case])
+    compare_compprop([case])
 
 
 @pytest.mark.parametrize("elements", [(0, 0, 3), (2, 2), (3,), ()])
